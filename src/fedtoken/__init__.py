@@ -22,6 +22,6 @@ from .tokenomics import (AllocationPolicy, Budget, RoundAllocation, allocate_ep,
                          allocate_pf, participation_rewards, settle_round)
 from .valuation import (ContributionVector, GameUtility, OracleSizeError,
                         PermutationPlan, UtilityContext, all_permutations_plan,
-                        efficiency_residual, exact_shapley, tmc_shapley, utility)
+                        efficiency_residual, exact_shapley, tmc_shapley)
 
 __version__ = "0.1.0"

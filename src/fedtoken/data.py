@@ -38,6 +38,8 @@ class Dataset:
         labels = np.asarray(self.labels, dtype=np.float64)
         if features.ndim != 2 or features.shape[0] == 0:
             raise ValueError("dataset must contain at least one sample")
+        if not np.all(np.isfinite(features)):
+            raise ValueError("features must be finite")
         if labels.shape != (features.shape[0],):
             raise ValueError("labels must be a vector matching the sample count")
         if not np.all(np.isin(labels, (-1.0, 1.0))):

@@ -128,7 +128,8 @@ def run(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> RunResult:
             m = scheduler.round_step(state, cfg)
             metrics.append(m)
             if metrics_fh is not None:
-                metrics_fh.write(json.dumps(m.to_record(), sort_keys=True) + "\n")
+                metrics_fh.write(json.dumps(m.to_record(), sort_keys=True,
+                                            allow_nan=False) + "\n")
                 metrics_fh.flush()
             if ledger_path is not None:
                 ledger_mod.append_to_file(ledger_path, state.chain,
@@ -138,14 +139,14 @@ def run(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> RunResult:
                 break
         summary = _summary(cfg, metrics, state, stop_reason)
         if metrics_fh is not None:
-            metrics_fh.write(json.dumps(summary, sort_keys=True) + "\n")
+            metrics_fh.write(json.dumps(summary, sort_keys=True, allow_nan=False) + "\n")
     finally:
         if metrics_fh is not None:
             metrics_fh.close()
     if out is not None:
         save_model(out / MODEL_FILE, state.model.phi)
-        (out / SUMMARY_FILE).write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n",
-                                        encoding="utf-8")
+        text = json.dumps(summary, sort_keys=True, indent=2, allow_nan=False)
+        (out / SUMMARY_FILE).write_text(text + "\n", encoding="utf-8")
     return RunResult(config=cfg, metrics=metrics, summary=summary, state=state)
 
 
@@ -202,7 +203,7 @@ def sweep(cfg: ExperimentConfig, axis: str, values, out_dir: str | Path | None =
         })
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-        text = "\n".join(json.dumps(r, sort_keys=True) for r in rows) + "\n"
+        text = "\n".join(json.dumps(r, sort_keys=True, allow_nan=False) for r in rows) + "\n"
         (out / "sweep.jsonl").write_text(text, encoding="utf-8")
     return rows
 

@@ -119,14 +119,14 @@ def sample_cohort(n_clients: int, m_fraction: float, round_index: int,
 
 
 def select_top_q(u: ContributionVector, quota: int) -> SelectionResult:
-    """Top-quota clients by contribution, skipping everyone with u <= 0.
+    """Top-quota clients by contribution, flagging everyone without u > 0.
 
-    Ties break toward the lower client id; the selected list is ordered by
-    descending contribution.
+    A NaN contribution is flagged too.  Ties break toward the lower client
+    id; the selected list is ordered by descending contribution.
     """
     if quota < 1:
         raise ValueError("quota must be >= 1")
-    flagged = tuple(sorted(c for c, val in u.u.items() if val <= 0.0))
+    flagged = tuple(sorted(c for c, val in u.u.items() if not val > 0.0))
     positive = sorted((c for c, val in u.u.items() if val > 0.0),
                       key=lambda c: (-u.u[c], c))
     return SelectionResult(

@@ -8,7 +8,12 @@ scan once the running prefix value is within ``eps`` of the full-coalition
 value.
 
 Subset values are cached per round so overlapping prefix scans share work;
-``queries`` counts every lookup and ``evaluations`` only cache misses.
+``queries`` counts every lookup and ``evaluations`` only cache misses.  A
+round's context scores every test row once, against the round-start model
+and each client delta: an n_test x (m+1) float64 matrix, columns in
+ascending client id.  A coalition's test scores are then one weighted sum
+of all its columns, in that fixed order, so a cached value never depends
+on which permutation reached the subset first.
 """
 
 from __future__ import annotations
@@ -66,7 +71,28 @@ def all_permutations_plan(participants: Sequence[int], eps: float = 0.0) -> Perm
     return PermutationPlan(delta=len(perms), eps=eps, permutations=perms)
 
 
-class UtilityContext:
+class CachedUtility:
+    """Per-round cache of subset values; subclasses score a miss in ``_evaluate``."""
+
+    def __init__(self):
+        self.queries = 0
+        self.evaluations = 0
+        self._cache: dict[frozenset[int], float] = {}
+
+    def value(self, subset) -> float:
+        subset = frozenset(map(int, subset))
+        self.queries += 1
+        cached = self._cache.get(subset)
+        if cached is None:
+            cached = self._cache[subset] = self._evaluate(subset)
+            self.evaluations += 1
+        return cached
+
+    def _evaluate(self, subset: frozenset[int]) -> float:
+        raise NotImplementedError
+
+
+class UtilityContext(CachedUtility):
     """Round-scoped utility: candidate models from client deltas, scored on test data.
 
     The candidate for a subset S is the round-start model plus the mean of
@@ -79,70 +105,44 @@ class UtilityContext:
     def __init__(self, phi_t: np.ndarray, deltas: dict[int, np.ndarray],
                  test_set: Dataset, loss: str, v_ref: float | None = None,
                  weighting: str = MEAN_WEIGHTING, nu: float = 1.0):
+        super().__init__()
         if weighting not in (MEAN_WEIGHTING, SUM_WEIGHTING):
             raise ValueError(f"unknown weighting {weighting!r}")
         if len(test_set) == 0:
             raise ValueError("test set must be non-empty")
         losses.check_kind(loss)
-        self.phi_t = np.asarray(phi_t, dtype=np.float64)
-        self.deltas = {int(c): np.asarray(dv, dtype=np.float64) for c, dv in deltas.items()}
-        self.test_set = test_set
-        self.loss = loss
-        self.weighting = weighting
-        self.nu = nu
-        self.queries = 0
-        self.evaluations = 0
-        self._cache: dict[frozenset[int], float] = {}
-        if v_ref is None:
-            v_ref = losses.mean_loss(loss, self.phi_t, test_set.features, test_set.labels)
-        self.v_ref = float(v_ref)
+        deltas = {int(c): dv for c, dv in deltas.items()}
+        self._columns = {c: j for j, c in enumerate(sorted(deltas), start=1)}
+        models = np.array([phi_t, *(deltas[c] for c in self._columns)], dtype=np.float64)
+        self._scores = test_set.features @ models.T
+        self._labels = test_set.labels
+        self.loss, self.weighting, self.nu = loss, weighting, nu
+        self.v_ref = float(self._test_loss(frozenset()) if v_ref is None else v_ref)
 
-    def candidate_model(self, subset: frozenset[int]) -> np.ndarray:
-        if not subset:
-            return self.phi_t
-        total = np.zeros_like(self.phi_t)
-        for c in sorted(subset):
-            total += self.deltas[c]
-        scale = 1.0 / len(subset) if self.weighting == MEAN_WEIGHTING else self.nu
-        return self.phi_t + scale * total
+    def _test_loss(self, subset: frozenset[int]) -> float:
+        try:
+            columns = [self._columns[c] for c in subset]
+        except KeyError as err:
+            raise LookupError(f"unknown client id {err.args[0]}") from None
+        w = np.zeros(self._scores.shape[1])
+        w[0] = 1.0
+        if columns:
+            w[columns] = 1.0 / len(columns) if self.weighting == MEAN_WEIGHTING else self.nu
+        return losses.mean_loss(self.loss, w, self._scores, self._labels)
 
-    def value(self, subset) -> float:
-        subset = frozenset(int(c) for c in subset)
-        unknown = subset - self.deltas.keys()
-        if unknown:
-            raise LookupError(f"unknown client ids {sorted(unknown)}")
-        self.queries += 1
-        cached = self._cache.get(subset)
-        if cached is not None:
-            return cached
-        self.evaluations += 1
-        w = self.candidate_model(subset)
-        score = self.v_ref - losses.mean_loss(self.loss, w, self.test_set.features,
-                                              self.test_set.labels)
-        self._cache[subset] = score
-        return score
+    def _evaluate(self, subset: frozenset[int]) -> float:
+        return self.v_ref - self._test_loss(subset)
 
 
-class GameUtility:
+class GameUtility(CachedUtility):
     """Utility backed by an arbitrary set function; same counting interface."""
 
     def __init__(self, fn: Callable[[frozenset[int]], float]):
+        super().__init__()
         self._fn = fn
-        self.queries = 0
-        self.evaluations = 0
-        self._cache: dict[frozenset[int], float] = {}
 
-    def value(self, subset) -> float:
-        subset = frozenset(int(c) for c in subset)
-        self.queries += 1
-        if subset not in self._cache:
-            self.evaluations += 1
-            self._cache[subset] = float(self._fn(subset))
-        return self._cache[subset]
-
-
-def utility(ctx, subset) -> float:
-    return ctx.value(frozenset(subset))
+    def _evaluate(self, subset: frozenset[int]) -> float:
+        return float(self._fn(subset))
 
 
 def exact_shapley(ctx, participants: Sequence[int]) -> ContributionVector:

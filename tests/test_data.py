@@ -147,6 +147,16 @@ def test_dataset_rejects_bad_labels():
         Dataset(np.zeros((2, 2)), np.array([0.5, 1.0]))
 
 
+def test_dataset_rejects_non_finite_features(tmp_path):
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            Dataset(np.array([[0.5, bad], [1.0, 0.0]]), np.array([1.0, -1.0]))
+    path = tmp_path / "nan.csv"
+    path.write_text("+1,0.5,nan\n-1,0.75,0.0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="finite"):
+        load_csv(path)
+
+
 def test_csv_rejects_ragged_rows(tmp_path):
     path = tmp_path / "ragged.csv"
     path.write_text("+1,0.5,0.25\n-1,0.75\n", encoding="utf-8")

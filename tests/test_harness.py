@@ -40,6 +40,20 @@ def test_identical_configs_produce_identical_artifacts(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
 
 
+def test_nan_in_a_round_record_is_not_written_as_json(tmp_path, monkeypatch):
+    import dataclasses
+    from fedtoken import harness
+    real_round_step = harness.scheduler.round_step
+
+    def nan_loss_round(state, cfg):
+        return dataclasses.replace(real_round_step(state, cfg), test_loss=float("nan"))
+
+    monkeypatch.setattr(harness.scheduler, "round_step", nan_loss_round)
+    with pytest.raises(ValueError, match="JSON"):
+        run(make_cfg(rounds=1), tmp_path)
+    assert "NaN" not in (tmp_path / "metrics.jsonl").read_text(encoding="utf-8")
+
+
 def test_zero_rounds_returns_the_initial_model(tmp_path):
     cfg = make_cfg(rounds=0)
     res = run(cfg, tmp_path)

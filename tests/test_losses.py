@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -42,6 +43,15 @@ def test_logistic_domain_error_outside_unit_interval():
 def test_logistic_loss_is_stable_and_positive(z, y):
     val = losses.loss_values(losses.LOGISTIC, np.array([z]), np.array([y]))[0]
     assert np.isfinite(val) and val >= 0.0
+
+
+def test_logistic_kernel_matches_logaddexp_at_extreme_margins():
+    margins = np.concatenate([[-1e4, -700.0, 700.0, 1e4], np.linspace(-40.0, 40.0, 801)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = losses.loss_values(losses.LOGISTIC, margins, -np.ones_like(margins))
+    assert np.all(np.isfinite(got))
+    np.testing.assert_allclose(got, np.logaddexp(0.0, margins), rtol=1e-15, atol=0.0)
 
 
 def test_mean_loss_of_zero_model():

@@ -49,6 +49,13 @@ def test_select_top_q_all_nonpositive():
     assert set(sel.flagged_non_contributing) == {0, 1, 2}
 
 
+def test_select_top_q_flags_nan_contributions():
+    sel = select_top_q(_cv({0: 0.3, 1: float("nan"), 2: -0.2, 3: 0.1}), quota=1)
+    assert sel.selected == (0,)
+    assert sel.rejected == (3,)
+    assert sel.flagged_non_contributing == (1, 2)
+
+
 def test_select_top_q_tie_breaks_to_lower_id():
     sel = select_top_q(_cv({7: 0.5, 3: 0.5}), quota=1)
     assert sel.selected == (3,)

@@ -10,7 +10,7 @@ from fedtoken.rng import RngStream
 from fedtoken.valuation import (GameUtility, OracleSizeError,
                                 PermutationPlan, UtilityContext,
                                 all_permutations_plan, efficiency_residual,
-                                exact_shapley, tmc_shapley, utility)
+                                exact_shapley, tmc_shapley)
 
 
 def _test_set(seed=0, n=40, d=3):
@@ -41,7 +41,7 @@ def _table_game(m, seed, empty_zero=True):
 
 def test_empty_subset_scores_zero_with_default_reference():
     ctx = _model_ctx({0: np.array([0.5, 0.0, 0.0])})
-    assert utility(ctx, set()) == 0.0
+    assert ctx.value(frozenset()) == 0.0
 
 
 def test_all_zero_deltas_score_zero_everywhere():
@@ -49,7 +49,7 @@ def test_all_zero_deltas_score_zero_everywhere():
     ctx = _model_ctx(zeros)
     for k in range(4):
         for combo in combinations(range(3), k):
-            assert utility(ctx, combo) == pytest.approx(0.0, abs=1e-15)
+            assert ctx.value(frozenset(combo)) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_helpful_delta_beats_zero_delta():
@@ -58,7 +58,7 @@ def test_helpful_delta_beats_zero_delta():
     helpful = np.array([1.0, 0.0, 0.0])
     ctx = UtilityContext(np.zeros(3), {0: helpful, 1: np.zeros(3)}, test,
                          losses.LOGISTIC)
-    assert utility(ctx, {0}) > utility(ctx, {1})
+    assert ctx.value(frozenset({0})) > ctx.value(frozenset({1}))
 
 
 def test_converged_local_solve_produces_positive_utility():
@@ -72,13 +72,51 @@ def test_converged_local_solve_produces_positive_utility():
                       RngStream(4, purpose="local-solve"))
     ctx = UtilityContext(np.zeros(3), {0: upd.delta_phi, 1: np.zeros(3)},
                          test, losses.LOGISTIC)
-    assert utility(ctx, {0}) > utility(ctx, {1}) == 0.0
+    assert ctx.value(frozenset({0})) > ctx.value(frozenset({1})) == 0.0
 
 
 def test_unknown_client_is_a_lookup_error():
     ctx = _model_ctx({0: np.zeros(3)})
     with pytest.raises(LookupError):
-        utility(ctx, {7})
+        ctx.value(frozenset({7}))
+
+
+def _five_client_deltas(seed=21):
+    gen = np.random.Generator(np.random.PCG64(seed))
+    return {c: 0.5 * gen.standard_normal(3) for c in (2, 5, 7, 11, 13)}
+
+
+@pytest.mark.parametrize("loss", losses.LOSS_KINDS)
+@pytest.mark.parametrize("weighting,nu", [("mean", 1.0), ("sum", 0.3)])
+def test_value_matches_the_explicit_candidate_model(loss, weighting, nu):
+    test = _test_set(4)
+    phi_t = np.array([0.2, -0.1, 0.05])
+    deltas = _five_client_deltas()
+    ctx = UtilityContext(phi_t, deltas, test, loss, weighting=weighting, nu=nu)
+    v_ref = losses.mean_loss(loss, phi_t, test.features, test.labels)
+    for k in range(len(deltas) + 1):
+        for combo in combinations(sorted(deltas), k):
+            model = phi_t
+            if combo:
+                scale = 1.0 / k if weighting == "mean" else nu
+                model = phi_t + scale * sum(deltas[c] for c in combo)
+            expected = v_ref - losses.mean_loss(loss, model, test.features, test.labels)
+            assert abs(ctx.value(frozenset(combo)) - expected) <= 1e-12
+
+
+def test_subset_values_do_not_depend_on_the_permutation_that_reached_them():
+    deltas = _five_client_deltas()
+    players = tuple(sorted(deltas))
+    test = _test_set(5)
+    ctxs = [UtilityContext(np.zeros(3), deltas, test, losses.LOGISTIC) for _ in range(2)]
+    for ctx, seed in zip(ctxs, (1, 2)):
+        plan = PermutationPlan(delta=3, eps=0.0, stream=RngStream(seed, purpose="perms"))
+        tmc_shapley(ctx, players, plan)
+    for k in range(len(players) + 1):
+        for combo in combinations(players, k):
+            a = ctxs[0].value(frozenset(combo))
+            b = ctxs[1].value(frozenset(combo))
+            assert a.hex() == b.hex(), combo
 
 
 def test_exact_shapley_singleton():
