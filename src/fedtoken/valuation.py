@@ -9,11 +9,10 @@ value.
 
 Subset values are cached per round so overlapping prefix scans share work;
 ``queries`` counts every lookup and ``evaluations`` only cache misses.  A
-round's context scores every test row once, against the round-start model
-and each client delta: an n_test x (m+1) float64 matrix, columns in
-ascending client id.  A coalition's test scores are then one weighted sum
-of all its columns, in that fixed order, so a cached value never depends
-on which permutation reached the subset first.
+round's context stacks its client deltas once into an m x d float64 array,
+rows in ascending client id.  A coalition's candidate model sums its rows
+in that order, so a cached value never depends on which permutation
+reached the subset first; each miss then scores the n_test x d test set.
 """
 
 from __future__ import annotations
@@ -111,24 +110,23 @@ class UtilityContext(CachedUtility):
         if len(test_set) == 0:
             raise ValueError("test set must be non-empty")
         losses.check_kind(loss)
-        deltas = {int(c): dv for c, dv in deltas.items()}
-        self._columns = {c: j for j, c in enumerate(sorted(deltas), start=1)}
-        models = np.array([phi_t, *(deltas[c] for c in self._columns)], dtype=np.float64)
-        self._scores = test_set.features @ models.T
-        self._labels = test_set.labels
-        self.loss, self.weighting, self.nu = loss, weighting, nu
+        self._rows = {c: i for i, c in enumerate(sorted(map(int, deltas)))}
+        self.phi_t = np.asarray(phi_t, dtype=np.float64)
+        self._deltas = np.array([deltas[c] for c in self._rows], dtype=np.float64
+                                ).reshape(len(self._rows), self.phi_t.size)
+        self.test_set, self.loss, self.weighting, self.nu = test_set, loss, weighting, nu
         self.v_ref = float(self._test_loss(frozenset()) if v_ref is None else v_ref)
 
     def _test_loss(self, subset: frozenset[int]) -> float:
         try:
-            columns = [self._columns[c] for c in subset]
+            rows = sorted(self._rows[c] for c in subset)
         except KeyError as err:
             raise LookupError(f"unknown client id {err.args[0]}") from None
-        w = np.zeros(self._scores.shape[1])
-        w[0] = 1.0
-        if columns:
-            w[columns] = 1.0 / len(columns) if self.weighting == MEAN_WEIGHTING else self.nu
-        return losses.mean_loss(self.loss, w, self._scores, self._labels)
+        w = self.phi_t
+        if rows:
+            scale = 1.0 / len(rows) if self.weighting == MEAN_WEIGHTING else self.nu
+            w = w + scale * self._deltas.take(rows, axis=0).sum(axis=0)
+        return losses.mean_loss(self.loss, w, self.test_set.features, self.test_set.labels)
 
     def _evaluate(self, subset: frozenset[int]) -> float:
         return self.v_ref - self._test_loss(subset)

@@ -82,8 +82,10 @@ def test_unknown_client_is_a_lookup_error():
 
 
 def _five_client_deltas(seed=21):
+    # ids equal mod 8 share a hash slot, so a frozenset of them iterates in
+    # the order its members were added, not in sorted order
     gen = np.random.Generator(np.random.PCG64(seed))
-    return {c: 0.5 * gen.standard_normal(3) for c in (2, 5, 7, 11, 13)}
+    return {c: 0.5 * gen.standard_normal(3) for c in (1, 9, 17, 25, 33)}
 
 
 @pytest.mark.parametrize("loss", losses.LOSS_KINDS)
@@ -110,7 +112,7 @@ def test_subset_values_do_not_depend_on_the_permutation_that_reached_them():
     test = _test_set(5)
     ctxs = [UtilityContext(np.zeros(3), deltas, test, losses.LOGISTIC) for _ in range(2)]
     for ctx, seed in zip(ctxs, (1, 2)):
-        plan = PermutationPlan(delta=3, eps=0.0, stream=RngStream(seed, purpose="perms"))
+        plan = PermutationPlan(delta=30, eps=0.0, stream=RngStream(seed, purpose="perms"))
         tmc_shapley(ctx, players, plan)
     for k in range(len(players) + 1):
         for combo in combinations(players, k):
