@@ -11,8 +11,8 @@ import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from . import losses, scheduler, tokenomics
-from .data import VALID_SCHEMES
+from . import ledger, losses, scheduler, tokenomics
+from .data import VALID_SCHEMES, split_sizes
 
 
 class ConfigError(ValueError):
@@ -223,8 +223,13 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
         fail("nu", "must be 'auto' or in (0, 1]")
     if cfg.local_passes < 1:
         fail("local_passes", "must be >= 1")
-    if cfg.n_clients < 1:
-        fail("n_clients", "must be >= 1")
+    if not 1 <= cfg.n_clients <= ledger.MAX_CLIENT_ID:
+        fail("n_clients", f"must be in [1, {ledger.MAX_CLIENT_ID}], "
+                          "the ledger's 4-byte client id")
+    n_train = split_sizes(cfg.n_samples, cfg.test_fraction)[0]
+    if cfg.data_source == "synthetic" and n_train < cfg.n_clients:
+        fail("n_samples", f"its training split has {n_train} rows, fewer than "
+                          f"the {cfg.n_clients} clients")
     if not 0.0 < cfg.m_fraction <= 1.0:
         fail("m_fraction", "must be in (0, 1]")
     if cfg.quota is not None and cfg.quota_ratio is not None:
@@ -235,8 +240,8 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
         fail("quota_ratio", "must be in (0, 1]")
     if cfg.resolved_quota > cfg.cohort_size:
         fail("quota", f"quota {cfg.resolved_quota} exceeds cohort size {cfg.cohort_size}")
-    if cfg.rounds < 0:
-        fail("rounds", "must be >= 0")
+    if not 0 <= cfg.rounds <= ledger.MAX_ROUND:
+        fail("rounds", f"must be in [0, {ledger.MAX_ROUND}], the ledger's 4-byte round")
     if cfg.delta < 1:
         fail("delta", "must be >= 1")
     if cfg.eps < 0:
@@ -249,6 +254,9 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
         fail("flip_fraction", "must be in [0, 1]")
     if cfg.total_tokens < 1:
         fail("total_tokens", "must be >= 1")
+    if cfg.total_microtokens > ledger.MAX_AMOUNT:
+        fail("total_tokens", f"{cfg.total_microtokens} microtokens exceed the ledger's "
+                             f"8-byte amount ({ledger.MAX_AMOUNT})")
     if cfg.per_round_microtokens is not None and cfg.per_round_microtokens < 1:
         fail("per_round_microtokens", "must be >= 1")
     if cfg.resolved_per_round_microtokens > cfg.total_microtokens:

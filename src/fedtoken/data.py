@@ -8,7 +8,7 @@ two runs with the same seeds produce identical partitions and views.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -20,12 +20,6 @@ VALID_SCHEMES = ("iid", "label-shards", "dirichlet")
 
 class InfeasiblePartitionError(ValueError):
     """Requested partition cannot satisfy disjoint-cover constraints."""
-
-
-@dataclass(frozen=True)
-class DataPoint:
-    features: np.ndarray
-    label: float
 
 
 @dataclass(frozen=True)
@@ -54,13 +48,6 @@ class Dataset:
     def d(self) -> int:
         return self.features.shape[1]
 
-    def point(self, i: int) -> DataPoint:
-        return DataPoint(self.features[i], float(self.labels[i]))
-
-    @property
-    def points(self) -> list[DataPoint]:
-        return [self.point(i) for i in range(len(self))]
-
     def with_labels(self, labels: np.ndarray) -> "Dataset":
         return Dataset(self.features, labels)
 
@@ -73,10 +60,13 @@ class Dataset:
 class ClientPartition:
     client_id: int
     sample_indices: tuple[int, ...]
+    # the same indices as an intp array, built once for fancy indexing
+    rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(set(self.sample_indices)) != len(self.sample_indices):
             raise ValueError("partition indices must be unique")
+        object.__setattr__(self, "rows", np.asarray(self.sample_indices, dtype=np.intp))
 
     def __len__(self) -> int:
         return len(self.sample_indices)
@@ -206,7 +196,7 @@ def poison_labels(part: ClientPartition, dataset: Dataset, flip_fraction: float,
     if n_flip > 0:
         gen = stream.generator()
         chosen = gen.choice(len(part), size=n_flip, replace=False)
-        flip_idx = np.asarray(part.sample_indices, dtype=np.intp)[np.sort(chosen)]
+        flip_idx = part.rows[np.sort(chosen)]
         labels[flip_idx] = -labels[flip_idx]
     return dataset.with_labels(labels)
 
@@ -234,13 +224,19 @@ def synth_gaussian(n: int, d: int, separation: float, stream: RngStream) -> Data
     return Dataset(features, labels)
 
 
+def split_sizes(n: int, test_fraction: float) -> tuple[int, int]:
+    """(train, test) row counts of a split of n rows; both are >= 1 for n >= 2."""
+    n_test = min(max(int(round(test_fraction * n)), 1), n - 1)
+    return n - n_test, n_test
+
+
 def train_test_split(dataset: Dataset, test_fraction: float,
                      stream: RngStream) -> tuple[Dataset, Dataset]:
     """Seeded shuffle split; both sides are non-empty."""
     if not 0.0 < test_fraction < 1.0:
         raise ValueError("test_fraction must be in (0, 1)")
     n = len(dataset)
-    n_test = min(max(int(round(test_fraction * n)), 1), n - 1)
+    n_test = split_sizes(n, test_fraction)[1]
     order = stream.generator().permutation(n)
     return dataset.take(np.sort(order[n_test:])), dataset.take(np.sort(order[:n_test]))
 

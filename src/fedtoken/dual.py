@@ -11,7 +11,7 @@ and dual state stay in exact correspondence round after round.
 A client owns the dual coordinates of its local samples.  One local solve
 runs a fixed number of randomized passes over those coordinates, solving
 each one-dimensional subproblem exactly: closed form for squared loss, a
-safeguarded Newton/bisection root find for logistic.  The resulting step
+bracketed Newton root find in logit space for logistic.  The resulting step
 ``rho`` never decreases the client's local dual objective relative to
 ``rho = 0``.
 """
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,22 +32,18 @@ UPLOAD_HEADER_BYTES = 64
 MODEL_MAGIC = b"FTMD"
 MODEL_VERSION = 1
 
-NEWTON_TOL = 1e-10
+NEWTON_TOL = 1e-8  # on |F|; the closed-form last step leaves O(F^2)
 NEWTON_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
 class Hyperparams:
     lam: float
-    nu: float = 1.0
     local_passes: int = 1
-    seed: int = 0
 
     def __post_init__(self):
         if self.lam <= 0:
             raise ValueError("lam must be > 0")
-        if not 0.0 < self.nu <= 1.0:
-            raise ValueError("nu must be in (0, 1]")
         if self.local_passes < 1:
             raise ValueError("local_passes must be >= 1")
 
@@ -70,15 +66,9 @@ class GlobalModel:
 
 
 @dataclass(frozen=True)
-class DualState:
-    client_id: int
-    alpha: dict[int, float] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
 class LocalUpdate:
     client_id: int
-    rho: dict[int, float]
+    rho: np.ndarray  # one step per row of the partition, in its index order
     delta_phi: np.ndarray
     upload_bytes: int
 
@@ -92,171 +82,121 @@ def primal_objective(w: np.ndarray, dataset: Dataset, loss: str, lam: float) -> 
         + lam * 0.5 * float(w @ w)
 
 
-def stitch_alpha(states, n_samples: int) -> np.ndarray:
-    """Assemble the global dual vector from per-client states."""
-    alpha = np.zeros(n_samples)
-    for st in states:
-        for i, a in st.alpha.items():
-            alpha[i] = a
-    return alpha
-
-
-def phi_of_alpha(states, dataset: Dataset, lam: float) -> np.ndarray:
-    alpha = stitch_alpha(states, len(dataset))
+def phi_of_alpha(alpha: np.ndarray, dataset: Dataset, lam: float) -> np.ndarray:
     return dataset.features.T @ alpha / (lam * len(dataset))
 
 
-def dual_objective(states, dataset: Dataset, loss: str, lam: float) -> float:
-    D = len(dataset)
-    conj = 0.0
-    for st in states:
-        for i, a in st.alpha.items():
-            conj += losses.conjugate_term(loss, a, float(dataset.labels[i]))
-    phi = phi_of_alpha(states, dataset, lam)
-    return conj / D - lam * 0.5 * float(phi @ phi)
+def dual_objective(alpha: np.ndarray, dataset: Dataset, loss: str, lam: float) -> float:
+    conj = float(losses.conjugate(loss, alpha, dataset.labels).sum())
+    phi = phi_of_alpha(alpha, dataset, lam)
+    return conj / len(dataset) - lam * 0.5 * float(phi @ phi)
 
 
-def duality_gap(states, dataset: Dataset, loss: str, lam: float) -> float:
-    w = phi_of_alpha(states, dataset, lam)
-    return primal_objective(w, dataset, loss, lam) - dual_objective(states, dataset, loss, lam)
+def duality_gap(alpha: np.ndarray, dataset: Dataset, loss: str, lam: float) -> float:
+    w = phi_of_alpha(alpha, dataset, lam)
+    return primal_objective(w, dataset, loss, lam) - dual_objective(alpha, dataset, loss, lam)
 
 
-def _separable_value(loss: str, a: float, y: float) -> float:
-    return losses.conjugate_term(loss, a, y)
+def _logit_residual(t: float, q: float, c: float) -> tuple[float, float, float]:
+    """F(t) = t + q*sigmoid(t) + c, its slope F'(t) and sigmoid(t).
 
-
-def _coordinate_value(loss: str, alpha_i: float, y_i: float, r: float,
-                      base: float, qcoef: float) -> float:
-    """One-dimensional subproblem objective (scaled by D, constants dropped)."""
-    return _separable_value(loss, alpha_i + r, y_i) - base * r - 0.5 * qcoef * r * r
-
-
-def _coordinate_derivative(loss: str, alpha_i: float, y_i: float, r: float,
-                           base: float, qcoef: float) -> float:
-    """Scalar derivative of the one-dimensional subproblem objective."""
-    a = alpha_i + r
-    if loss == losses.SQUARED:
-        sep = y_i - a
+    The logistic coordinate step is optimal where F vanishes, with t the
+    logit of the new alpha*y.  The derivative of the coordinate objective
+    in the step r is -y * F(t).
+    """
+    if t >= 0.0:
+        s = 1.0 / (1.0 + math.exp(-t))
     else:
-        s = a * y_i
-        sep = -y_i * (math.log(s) - math.log1p(-s))
-    return sep - base - qcoef * r
+        e = math.exp(t)
+        s = e / (1.0 + e)
+    return t + q * s + c, 1.0 + q * s * (1.0 - s), s
 
 
-def _solve_coordinate(loss: str, alpha_i: float, y_i: float,
-                      base: float, qcoef: float) -> float:
-    """Exact maximizer of the one-dimensional subproblem over the step r."""
-    if loss == losses.SQUARED:
-        return (y_i - alpha_i - base) / (1.0 + qcoef)
+def _solve_logistic(alpha_i: float, y_i: float, base: float, qcoef: float) -> float:
+    """Exact maximizer of the logistic one-dimensional subproblem over the step r.
 
-    # logistic: the derivative is strictly decreasing over the feasible
-    # interval and diverges at both ends, so the root is interior
-    a_lo, a_hi = losses.feasible_interval(loss, y_i)
-    lo, hi = a_lo - alpha_i, a_hi - alpha_i
+    With s = (alpha_i + r) * y_i and t = logit(s), optimality reads
+    F(t) = t + q*sigmoid(t) + c = 0 with c = y*base - q*alpha*y.  Since
+    1 <= F' <= 1 + q/4, the root lies in [-c - q, -c].  Newton starts from
+    one Newton step off t = 0, stays inside the shrinking bracket, and ends
+    with a closed-form last step once |F| is small.
+    """
     if qcoef == 0.0 and base == 0.0:
         return 0.5 * y_i - alpha_i  # entropy-only optimum at s = 1/2
-    pad = 1e-14
-    lo_in, hi_in = lo + pad, hi - pad
-    g_lo = _coordinate_derivative(loss, alpha_i, y_i, lo_in, base, qcoef)
-    g_hi = _coordinate_derivative(loss, alpha_i, y_i, hi_in, base, qcoef)
-    if g_lo <= 0.0:
-        return max(min(lo_in, hi), lo)
-    if g_hi >= 0.0:
-        return min(max(hi_in, lo), hi)
-    r = 0.5 * (lo_in + hi_in)
+    c = y_i * base - qcoef * alpha_i * y_i
+    lo, hi = -c - qcoef, -c
+    t = min(max(-(c + 0.5 * qcoef) / (1.0 + 0.25 * qcoef), lo), hi)
     for _ in range(NEWTON_MAX_ITER):
-        g = _coordinate_derivative(loss, alpha_i, y_i, r, base, qcoef)
-        if abs(g) < NEWTON_TOL:
+        f, slope, s = _logit_residual(t, qcoef, c)
+        if abs(f) <= NEWTON_TOL:
+            # the last Newton step, taken on s = sigmoid(t) to first order
+            s -= s * (1.0 - s) * f / slope
             break
-        if g > 0.0:
-            lo_in = r
+        if f > 0.0:
+            hi = t
         else:
-            hi_in = r
-        s = (alpha_i + r) * y_i
-        curvature = qcoef + 1.0 / (s * (1.0 - s))
-        step = g / curvature
-        r_new = r + step
-        if not lo_in < r_new < hi_in:
-            r_new = 0.5 * (lo_in + hi_in)
-        if hi_in - lo_in < NEWTON_TOL * 1e-2:
-            r = r_new
-            break
-        r = r_new
-    return min(max(r, lo), hi)
+            lo = t
+        t_new = t - f / slope
+        t = t_new if lo <= t_new <= hi else 0.5 * (lo + hi)
+    # s in [0, 1] up to rounding: clip the step into the feasible interval
+    if y_i > 0.0:
+        return min(max(s - alpha_i, -alpha_i), 1.0 - alpha_i)
+    return min(max(-s - alpha_i, -1.0 - alpha_i), -alpha_i)
 
 
-def local_solve(part: ClientPartition, dataset: Dataset, alpha_n: DualState,
+def local_solve(part: ClientPartition, dataset: Dataset, alpha: np.ndarray,
                 model: GlobalModel, loss: str, hyper: Hyperparams,
                 stream: RngStream) -> LocalUpdate:
     """Run randomized exact coordinate ascent over the client's dual block.
 
     ``dataset`` is the client's view of the training data (labels may have
-    been poisoned locally); only the rows in ``part`` are touched.  The
-    returned ``delta_phi`` is recomputed from the final ``rho`` in one pass
-    so it matches (1 / (lambda * D)) * X_local^T rho exactly.
+    been poisoned locally) and ``alpha`` the global dual vector; only the
+    rows in ``part`` are read.  The solve keeps the running model
+    w = phi + (1 / (lambda * D)) * X_local^T rho, so each coordinate costs
+    one dot and one axpy.  The returned ``delta_phi`` is recomputed from
+    the final ``rho`` in one pass so it matches (1 / (lambda * D)) *
+    X_local^T rho exactly.
     """
     losses.check_kind(loss)
-    idx = np.asarray(part.sample_indices, dtype=np.intp)
+    idx = part.rows
     X = dataset.features[idx]
     y = dataset.labels[idx]
-    sqnorms = np.einsum("ij,ij->i", X, X)
-    D = len(dataset)
-    lam = hyper.lam
-    phi = model.phi
-    n_local = idx.shape[0]
-
-    alpha = np.array([alpha_n.alpha.get(int(i), 0.0) for i in idx])
+    scale = 1.0 / (hyper.lam * len(dataset))
+    a = alpha[idx]
     if loss == losses.LOGISTIC:
         # commits keep alpha*y inside [0, 1] up to rounding; clip the dust
-        alpha = np.clip(alpha, np.minimum(0.0, y), np.maximum(0.0, y))
-    rho = np.zeros(n_local)
-    v = np.zeros(dataset.d)  # running (1/(lam*D)) * X_local^T rho
+        a = np.clip(a, np.minimum(0.0, y), np.maximum(0.0, y))
+    rows = list(X)
+    ys, alphas = y.tolist(), a.tolist()
+    qs = (np.einsum("ij,ij->i", X, X) * scale).tolist()
+    rho = [0.0] * len(rows)
+    w = model.phi.copy()
+    squared = loss == losses.SQUARED
     gen = stream.generator()
 
     for _ in range(hyper.local_passes):
-        for j in gen.permutation(n_local):
-            xj = X[j]
-            scale = 1.0 / (lam * D)
-            v_minus = v - (rho[j] * scale) * xj
-            base = float(xj @ phi) + float(xj @ v_minus)
-            qcoef = sqnorms[j] * scale
-            r = _solve_coordinate(loss, alpha[j], float(y[j]), base, qcoef)
-            v = v_minus + (r * scale) * xj
+        for j in gen.permutation(len(rows)).tolist():
+            xj, rj, qj = rows[j], rho[j], qs[j]
+            base = float(xj.dot(w)) - rj * qj
+            if squared:
+                r = (ys[j] - alphas[j] - base) / (1.0 + qj)
+            else:
+                r = _solve_logistic(alphas[j], ys[j], base, qj)
+            w += ((r - rj) * scale) * xj
             rho[j] = r
 
-    delta_phi = X.T @ rho / (lam * D)
+    rho_arr = np.array(rho)
     return LocalUpdate(
         client_id=part.client_id,
-        rho={int(i): float(r) for i, r in zip(idx, rho)},
-        delta_phi=delta_phi,
+        rho=rho_arr,
+        delta_phi=X.T @ rho_arr / (hyper.lam * len(dataset)),
         upload_bytes=upload_size(dataset.d),
     )
 
 
-def local_gain(part: ClientPartition, dataset: Dataset, alpha_n: DualState,
-               model: GlobalModel, loss: str, lam: float,
-               rho: dict[int, float]) -> float:
-    """Local dual objective improvement of a step rho over rho = 0."""
-    D = len(dataset)
-    sep = 0.0
-    lin = 0.0
-    dvec = np.zeros(dataset.d)
-    for i in part.sample_indices:
-        r = rho.get(i, 0.0)
-        a = alpha_n.alpha.get(i, 0.0)
-        yi = float(dataset.labels[i])
-        sep += _separable_value(loss, a + r, yi) - _separable_value(loss, a, yi)
-        lin += r * float(dataset.features[i] @ model.phi)
-        dvec += r * dataset.features[i]
-    return (sep - lin) / D - float(dvec @ dvec) / (2.0 * lam * D * D)
-
-
-def commit(alpha_n: DualState, rho: dict[int, float], nu: float) -> DualState:
-    """Fold an accepted step into the client's dual state: alpha += nu * rho."""
-    merged = dict(alpha_n.alpha)
-    for i, r in rho.items():
-        merged[i] = merged.get(i, 0.0) + nu * r
-    return DualState(alpha_n.client_id, merged)
+def commit(alpha: np.ndarray, rows: np.ndarray, rho: np.ndarray, nu: float) -> None:
+    """Fold an accepted step into the dual vector in place: alpha += nu * rho."""
+    alpha[rows] += nu * rho
 
 
 def save_model(path, phi: np.ndarray) -> None:

@@ -28,7 +28,7 @@ from . import scheduler, tokenomics
 from .config import ExperimentConfig, with_overrides
 from .data import Dataset, load_csv, partition, PartitionScheme, poison_labels, \
     synth_gaussian, train_test_split
-from .dual import DualState, GlobalModel, save_model
+from .dual import GlobalModel, save_model
 from .rng import RngStream
 from .scheduler import RoundMetrics, SimulationState
 
@@ -78,7 +78,7 @@ def build_simulation(cfg: ExperimentConfig) -> SimulationState:
         test=test,
         partitions=parts,
         model=GlobalModel(np.zeros(train.d), 0),
-        alphas={c: DualState(c) for c in range(cfg.n_clients)},
+        alpha=np.zeros(len(train)),
         budget=budget,
         chain=ledger_mod.Chain(),
     )
@@ -110,8 +110,18 @@ def _summary(cfg: ExperimentConfig, metrics: list[RoundMetrics],
     }
 
 
+def _json_line(record: dict) -> str:
+    return json.dumps(record, sort_keys=True, allow_nan=False) + "\n"
+
+
 def run(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> RunResult:
-    """Execute rounds until the horizon or the budget-exhausted signal."""
+    """Execute rounds until the horizon or the budget-exhausted signal.
+
+    If a run with an output directory raises after opening its outputs, it
+    ends ``metrics.jsonl`` and ``summary.json`` with a summary whose
+    ``stop_reason`` is ``"error"``, naming the failed round and the error,
+    and then re-raises.
+    """
     state = build_simulation(cfg)
     out = Path(out_dir) if out_dir is not None else None
     metrics_fh = None
@@ -123,31 +133,45 @@ def run(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> RunResult:
 
     metrics: list[RoundMetrics] = []
     stop_reason = "horizon"
+    failed_round = None
     try:
         for _ in range(cfg.rounds):
+            failed_round = state.round + 1
             m = scheduler.round_step(state, cfg)
-            metrics.append(m)
             if metrics_fh is not None:
-                metrics_fh.write(json.dumps(m.to_record(), sort_keys=True,
-                                            allow_nan=False) + "\n")
+                metrics_fh.write(_json_line(m.to_record()))
                 metrics_fh.flush()
+            metrics.append(m)
             if ledger_path is not None:
                 ledger_mod.append_to_file(ledger_path, state.chain,
                                           state.chain.blocks[-1])
             if state.budget.exhausted:
                 stop_reason = "budget-exhausted"
                 break
+        failed_round = None
         summary = _summary(cfg, metrics, state, stop_reason)
         if metrics_fh is not None:
-            metrics_fh.write(json.dumps(summary, sort_keys=True, allow_nan=False) + "\n")
+            metrics_fh.write(_json_line(summary))
+    except Exception as err:
+        if metrics_fh is not None:
+            # every round in `metrics` was written as strict JSON, so this is too
+            failed = _summary(cfg, metrics, state, "error")
+            failed.update(failed_round=failed_round, error=f"{type(err).__name__}: {err}")
+            metrics_fh.write(_json_line(failed))
+            _write_summary(out, failed)
+        raise
     finally:
         if metrics_fh is not None:
             metrics_fh.close()
     if out is not None:
         save_model(out / MODEL_FILE, state.model.phi)
-        text = json.dumps(summary, sort_keys=True, indent=2, allow_nan=False)
-        (out / SUMMARY_FILE).write_text(text + "\n", encoding="utf-8")
+        _write_summary(out, summary)
     return RunResult(config=cfg, metrics=metrics, summary=summary, state=state)
+
+
+def _write_summary(out: Path, summary: dict) -> None:
+    text = json.dumps(summary, sort_keys=True, indent=2, allow_nan=False)
+    (out / SUMMARY_FILE).write_text(text + "\n", encoding="utf-8")
 
 
 def _apply_axis(cfg: ExperimentConfig, axis: str, value: float) -> ExperimentConfig:

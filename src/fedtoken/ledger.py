@@ -30,6 +30,9 @@ KIND_CONTRIBUTION = 0
 KIND_PARTICIPATION = 1
 
 _TX_STRUCT = struct.Struct(">IIBQ")
+# the widest values the round (4B), client_id (4B) and amount (8B) fields hold
+MAX_ROUND = MAX_CLIENT_ID = 2**32 - 1
+MAX_AMOUNT = 2**64 - 1
 _HEAD_STRUCT = struct.Struct(">Q32sI")
 
 
@@ -120,7 +123,12 @@ class Chain:
         return block
 
     def verify(self) -> int | None:
-        """Recompute every hash and link; None if clean, else first bad index."""
+        """Recompute every hash and link; None if clean, else first bad index.
+
+        Also checks the writer's invariants, which a re-hashed forgery could
+        break: block k carries only round k + 1 transactions, in strictly
+        increasing (client_id, kind) order.
+        """
         prev = GENESIS_PREV_HASH
         for k, block in enumerate(self.blocks):
             if block.index != k:
@@ -128,6 +136,11 @@ class Chain:
             if block.prev_hash != prev:
                 return k
             if _hash_body(block.body_bytes()) != block.block_hash:
+                return k
+            if any(tx.round != k + 1 for tx in block.transactions):
+                return k
+            keys = [(tx.client_id, tx.kind) for tx in block.transactions]
+            if any(a >= b for a, b in zip(keys, keys[1:])):
                 return k
             prev = block.block_hash
         return None

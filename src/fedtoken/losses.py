@@ -51,25 +51,21 @@ def mean_loss(kind: str, w: np.ndarray, features: np.ndarray, labels: np.ndarray
     return float(loss_values(kind, features @ w, labels).sum() / len(labels))
 
 
-def _entropy(s: float) -> float:
-    # 0 log 0 := 0 at both endpoints
-    total = 0.0
-    if s > 0.0:
-        total += s * math.log(s)
-    if s < 1.0:
-        total += (1.0 - s) * math.log(1.0 - s)
-    return total
-
-
-def conjugate_term(kind: str, alpha_i: float, y_i: float) -> float:
-    """The dual contribution -loss*(-alpha_i) of a single coordinate."""
+def conjugate(kind: str, alpha: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Elementwise dual contribution -loss*(-alpha_i) of each coordinate."""
+    alpha = np.asarray(alpha, dtype=np.float64)
     if kind == SQUARED:
-        return alpha_i * y_i - 0.5 * alpha_i * alpha_i
+        return alpha * labels - 0.5 * alpha * alpha
     if kind == LOGISTIC:
-        s = alpha_i * y_i
-        if s < -1e-12 or s > 1.0 + 1e-12:
-            raise DualDomainError(f"alpha*y = {s} outside [0, 1]")
-        return -_entropy(min(max(s, 0.0), 1.0))
+        s = alpha * labels
+        outside = (s < -1e-12) | (s > 1.0 + 1e-12)
+        if np.any(outside):
+            raise DualDomainError(f"alpha*y = {s[outside].flat[0]} outside [0, 1]")
+        s = np.clip(s, 0.0, 1.0)
+        t = 1.0 - s
+        # 0 log 0 := 0 at both endpoints; log(1) stands in for log(0)
+        return -(s * np.log(np.where(s > 0.0, s, 1.0))
+                 + t * np.log(np.where(t > 0.0, t, 1.0)))
     raise ValueError(f"unknown loss kind {kind!r}")
 
 
@@ -79,8 +75,3 @@ def feasible_interval(kind: str, y_i: float) -> tuple[float, float]:
         return (-math.inf, math.inf)
     lo, hi = 0.0, y_i  # alpha*y in [0, 1]
     return (min(lo, hi), max(lo, hi))
-
-
-def is_feasible(kind: str, alpha_i: float, y_i: float, tol: float = 1e-12) -> bool:
-    lo, hi = feasible_interval(kind, y_i)
-    return lo - tol <= alpha_i <= hi + tol

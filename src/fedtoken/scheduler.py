@@ -5,7 +5,7 @@ the updates (fedtoken policy only), pick at most ``quota`` of them, fold
 the chosen deltas into the global model with step weight nu, commit the
 matching dual steps, settle tokens, and append the round's block.  Clients
 that were not selected discard their step, which keeps the global model
-and the stitched dual state in exact correspondence.
+and the dual vector in exact correspondence.
 
 The reduction over selected deltas runs in ascending client-id order so
 floating-point sums are bit-reproducible.
@@ -19,8 +19,7 @@ import numpy as np
 
 from . import tokenomics
 from .data import ClientPartition, Dataset
-from .dual import (DualState, GlobalModel, Hyperparams, commit, duality_gap,
-                   local_solve, upload_size)
+from .dual import GlobalModel, Hyperparams, commit, duality_gap, local_solve, upload_size
 from .ledger import Chain
 from .losses import mean_loss
 from .rng import RngStream
@@ -96,15 +95,12 @@ class SimulationState:
     test: Dataset
     partitions: list[ClientPartition]
     model: GlobalModel
-    alphas: dict[int, DualState]
+    alpha: np.ndarray         # one dual coordinate per training row
     budget: Budget
     chain: Chain
     round: int = 0
     uploaded_bytes: int = 0
     committed_bytes: int = 0
-
-    def dual_states(self):
-        return [self.alphas[c] for c in sorted(self.alphas)]
 
 
 def sample_cohort(n_clients: int, m_fraction: float, round_index: int,
@@ -170,13 +166,12 @@ def round_step(state: SimulationState, cfg) -> RoundMetrics:
     root = RngStream(cfg.seed)
     cohort = sample_cohort(cfg.n_clients, cfg.m_fraction, t, root)
     plan = RoundPlan(round=t, cohort=cohort, quota=cfg.resolved_quota)
-    hyper = Hyperparams(lam=cfg.lam, nu=1.0, local_passes=cfg.local_passes, seed=cfg.seed)
+    hyper = Hyperparams(lam=cfg.lam, local_passes=cfg.local_passes)
 
-    updates = {}
-    for c in cohort:
-        updates[c] = local_solve(state.partitions[c], state.effective_train,
-                                 state.alphas[c], state.model, cfg.loss, hyper,
-                                 root.scoped(round=t, client=c, purpose="local-solve"))
+    updates = {c: local_solve(state.partitions[c], state.effective_train, state.alpha,
+                              state.model, cfg.loss, hyper,
+                              root.scoped(round=t, client=c, purpose="local-solve"))
+               for c in cohort}
     state.uploaded_bytes += len(cohort) * upload_size(state.train.d)
     deltas = {c: upd.delta_phi for c, upd in updates.items()}
 
@@ -213,7 +208,7 @@ def round_step(state: SimulationState, cfg) -> RoundMetrics:
     nu_round = _resolve_nu(cfg, cfg.aggregation, len(cohort), len(selection.selected))
     phi_next = aggregate(state.model.phi, selection, deltas, nu_round)
     for c in selection.selected:
-        state.alphas[c] = commit(state.alphas[c], updates[c].rho, nu_round)
+        commit(state.alpha, state.partitions[c].rows, updates[c].rho, nu_round)
     state.committed_bytes += len(selection.selected) * upload_size(state.train.d)
     state.model = GlobalModel(phi_next, t)
     state.round = t
@@ -225,7 +220,7 @@ def round_step(state: SimulationState, cfg) -> RoundMetrics:
     block = state.chain.append_block(t, allocation)
 
     accuracy, test_loss = _test_metrics(phi_next, state.test, cfg.loss)
-    gap = duality_gap(state.dual_states(), state.effective_train, cfg.loss, cfg.lam)
+    gap = duality_gap(state.alpha, state.effective_train, cfg.loss, cfg.lam)
     return RoundMetrics(
         round=t,
         policy=cfg.aggregation,

@@ -176,7 +176,7 @@ def test_criterion_04_dual_primal_consistency():
     for i in range(50):
         policy = (FEDTOKEN, FEDAVG_ALL, RANDOM_QUOTA)[i % 3]
         round_step(state, with_overrides(cfg, aggregation=policy))
-        rebuilt = phi_of_alpha(state.dual_states(), state.effective_train, cfg.lam)
+        rebuilt = phi_of_alpha(state.alpha, state.effective_train, cfg.lam)
         scale = max(np.linalg.norm(rebuilt), 1e-12)
         worst = max(worst, float(np.linalg.norm(state.model.phi - rebuilt)) / scale)
     assert worst < 1e-10

@@ -90,3 +90,28 @@ def test_with_overrides_revalidates():
 def test_missing_file_is_a_config_error(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         load_config(tmp_path / "absent.ini")
+
+
+def test_ledger_field_widths_bound_the_config():
+    # a transaction stores its amount in 8 bytes, its round and client id in 4
+    widest = (2**64 - 1) // 10**6
+    assert validate(ExperimentConfig(seed=1, total_tokens=widest)).total_tokens == widest
+    with pytest.raises(ConfigError, match="tokens.total_tokens"):
+        validate(ExperimentConfig(seed=1, total_tokens=widest + 1))
+    with pytest.raises(ConfigError, match="tokens.total_tokens"):
+        validate(ExperimentConfig(seed=1, total_tokens=10**14))
+    assert validate(ExperimentConfig(seed=1, rounds=2**32 - 1)).rounds == 2**32 - 1
+    with pytest.raises(ConfigError, match="federation.rounds"):
+        validate(ExperimentConfig(seed=1, rounds=2**32))
+    with pytest.raises(ConfigError, match="federation.n_clients"):
+        validate(ExperimentConfig(seed=1, n_clients=2**32))
+
+
+def test_training_split_must_cover_every_client():
+    # 8 samples at test_fraction 0.25 leave 6 training rows
+    assert validate(ExperimentConfig(seed=1, n_samples=8, n_clients=6,
+                                     m_fraction=1.0)).n_clients == 6
+    with pytest.raises(ConfigError, match="data.n_samples"):
+        validate(ExperimentConfig(seed=1, n_samples=8, n_clients=7, m_fraction=1.0))
+    with pytest.raises(ConfigError, match="data.n_samples"):
+        validate(ExperimentConfig(seed=1, n_samples=8, n_clients=20))

@@ -1,14 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
 from fedtoken import losses
 from fedtoken.data import ClientPartition, Dataset, synth_gaussian
-from fedtoken.dual import (DualState, GlobalModel, Hyperparams,
-                           _coordinate_derivative, _coordinate_value, commit,
-                           dual_objective, duality_gap, load_model, local_gain,
+from fedtoken.dual import (GlobalModel, Hyperparams, _logit_residual, _solve_logistic,
+                           commit, dual_objective, duality_gap, load_model,
                            local_solve, phi_of_alpha, primal_objective, save_model,
-                           stitch_alpha, upload_size)
+                           upload_size)
 from fedtoken.rng import RngStream
+from oracles import coordinate_value, is_feasible, local_gain
 
 
 def _full_partition(ds):
@@ -23,18 +25,18 @@ def _ridge_solution(ds, lam):
 
 def _random_feasible_state(ds, loss, seed):
     gen = np.random.Generator(np.random.PCG64(seed))
-    alpha = {}
+    alpha = np.zeros(len(ds))
     for i in range(len(ds)):
         lo, hi = losses.feasible_interval(loss, float(ds.labels[i]))
         if loss == losses.SQUARED:
             alpha[i] = float(gen.normal(scale=0.5))
         else:
             alpha[i] = float(lo + (hi - lo) * gen.random())
-    return DualState(0, alpha)
+    return alpha
 
 
 def test_dual_objective_is_zero_at_origin(gaussian_60x4):
-    zero = [DualState(0, {})]
+    zero = np.zeros(len(gaussian_60x4))
     for loss in losses.LOSS_KINDS:
         assert dual_objective(zero, gaussian_60x4, loss, 0.1) == 0.0
 
@@ -43,7 +45,7 @@ def test_dual_objective_single_sample_closed_form():
     # one sample, squared loss, alpha = y: value is y^2/2 - |x|^2 y^2 / (2 lam)
     ds = Dataset(np.array([[0.5]]), np.array([1.0]))
     lam = 0.5
-    got = dual_objective([DualState(0, {0: 1.0})], ds, losses.SQUARED, lam)
+    got = dual_objective(np.array([1.0]), ds, losses.SQUARED, lam)
     expected = 0.5 - 0.25 / (2.0 * lam)
     assert got == pytest.approx(expected, abs=1e-12)
     assert expected == 0.25
@@ -51,10 +53,10 @@ def test_dual_objective_single_sample_closed_form():
 
 def test_regularizer_term_is_quadratic_in_alpha(gaussian_60x4):
     state = _random_feasible_state(gaussian_60x4, losses.SQUARED, 3)
-    doubled = DualState(0, {i: 2 * a for i, a in state.alpha.items()})
+    doubled = 2 * state
     lam = 0.2
-    phi1 = phi_of_alpha([state], gaussian_60x4, lam)
-    phi2 = phi_of_alpha([doubled], gaussian_60x4, lam)
+    phi1 = phi_of_alpha(state, gaussian_60x4, lam)
+    phi2 = phi_of_alpha(doubled, gaussian_60x4, lam)
     assert np.allclose(phi2, 2 * phi1)
     g1 = lam * 0.5 * phi1 @ phi1
     g2 = lam * 0.5 * phi2 @ phi2
@@ -68,7 +70,7 @@ def test_primal_objective_at_zero_model(gaussian_60x4):
 
 
 def test_gap_at_zero_alpha_squared_loss(gaussian_60x4):
-    gap = duality_gap([DualState(0, {})], gaussian_60x4, losses.SQUARED, 0.7)
+    gap = duality_gap(np.zeros(len(gaussian_60x4)), gaussian_60x4, losses.SQUARED, 0.7)
     assert gap == pytest.approx(0.5, abs=1e-12)
 
 
@@ -76,7 +78,7 @@ def test_gap_at_zero_alpha_squared_loss(gaussian_60x4):
 def test_weak_duality_for_random_feasible_states(gaussian_60x4, loss):
     for seed in range(12):
         state = _random_feasible_state(gaussian_60x4, loss, seed)
-        gap = duality_gap([state], gaussian_60x4, loss, 0.05)
+        gap = duality_gap(state, gaussian_60x4, loss, 0.05)
         assert gap >= -1e-9
 
 
@@ -91,9 +93,12 @@ def test_logistic_scalar_derivative_matches_finite_difference():
         r = float(gen.uniform(lo - alpha + h * 4, hi - alpha - h * 4))
         base = float(gen.normal())
         qcoef = float(gen.uniform(0.0, 5.0))
-        deriv = _coordinate_derivative(losses.LOGISTIC, alpha, y, r, base, qcoef)
-        up = _coordinate_value(losses.LOGISTIC, alpha, y, r + h, base, qcoef)
-        down = _coordinate_value(losses.LOGISTIC, alpha, y, r - h, base, qcoef)
+        # the derivative in r is -y * F(t) at t = logit((alpha + r) * y)
+        s = (alpha + r) * y
+        c = y * base - qcoef * alpha * y
+        deriv = -y * _logit_residual(math.log(s) - math.log1p(-s), qcoef, c)[0]
+        up = coordinate_value(losses.LOGISTIC, alpha, y, r + h, base, qcoef)
+        down = coordinate_value(losses.LOGISTIC, alpha, y, r - h, base, qcoef)
         fd = (up - down) / (2 * h)
         assert deriv == pytest.approx(fd, rel=1e-4, abs=1e-7)
         checked += 1
@@ -117,29 +122,29 @@ def test_single_client_squared_reaches_ridge_solution():
     ds = synth_gaussian(50, 5, 3.0, RngStream(100, purpose="synth-data"))
     lam = 0.1
     part = _full_partition(ds)
-    alpha = DualState(0, {})
+    alpha = np.zeros(len(ds))
     model = GlobalModel(np.zeros(ds.d), 0)
     hyper = Hyperparams(lam=lam, local_passes=1)
     for t in range(200):
         upd = local_solve(part, ds, alpha, model, losses.SQUARED, hyper,
                           RngStream(1, round=t, purpose="local-solve"))
-        alpha = commit(alpha, upd.rho, 1.0)
+        commit(alpha, part.rows, upd.rho, 1.0)
         model = GlobalModel(model.phi + upd.delta_phi, t + 1)
     w_star = _ridge_solution(ds, lam)
     assert np.max(np.abs(model.phi - w_star)) < 1e-6
-    assert duality_gap([alpha], ds, losses.SQUARED, lam) < 1e-6
+    assert duality_gap(alpha, ds, losses.SQUARED, lam) < 1e-6
 
 
 def test_local_solve_is_stationary_at_the_optimum():
     ds = synth_gaussian(40, 3, 3.0, RngStream(8, purpose="synth-data"))
     lam = 0.2
     part = _full_partition(ds)
-    alpha = DualState(0, {})
+    alpha = np.zeros(len(ds))
     model = GlobalModel(np.zeros(ds.d), 0)
     solve_hyper = Hyperparams(lam=lam, local_passes=400)
     upd = local_solve(part, ds, alpha, model, losses.SQUARED, solve_hyper,
                       RngStream(2, purpose="local-solve"))
-    alpha = commit(alpha, upd.rho, 1.0)
+    commit(alpha, part.rows, upd.rho, 1.0)
     model = GlobalModel(model.phi + upd.delta_phi, 1)
     again = local_solve(part, ds, alpha, model, losses.SQUARED,
                         Hyperparams(lam=lam, local_passes=1),
@@ -150,12 +155,11 @@ def test_local_solve_is_stationary_at_the_optimum():
 def test_delta_phi_matches_rho_exactly(gaussian_60x4):
     part = ClientPartition(0, tuple(range(0, 30)))
     hyper = Hyperparams(lam=0.05, local_passes=2)
-    upd = local_solve(part, gaussian_60x4, DualState(0, {}),
+    upd = local_solve(part, gaussian_60x4, np.zeros(len(gaussian_60x4)),
                       GlobalModel(np.zeros(gaussian_60x4.d), 0), losses.LOGISTIC,
                       hyper, RngStream(5, purpose="local-solve"))
     rho_vec = np.zeros(len(gaussian_60x4))
-    for i, r in upd.rho.items():
-        rho_vec[i] = r
+    rho_vec[part.rows] = upd.rho
     expected = gaussian_60x4.features.T @ rho_vec / (0.05 * len(gaussian_60x4))
     scale = max(np.linalg.norm(expected), 1e-30)
     assert np.linalg.norm(upd.delta_phi - expected) / scale < 1e-12
@@ -163,16 +167,15 @@ def test_delta_phi_matches_rho_exactly(gaussian_60x4):
 
 def test_logistic_commits_stay_feasible(gaussian_60x4):
     part = _full_partition(gaussian_60x4)
-    alpha = DualState(0, {})
+    alpha = np.zeros(len(gaussian_60x4))
     model = GlobalModel(np.zeros(gaussian_60x4.d), 0)
     hyper = Hyperparams(lam=0.05, local_passes=1)
     for t in range(20):
         upd = local_solve(part, gaussian_60x4, alpha, model, losses.LOGISTIC,
                           hyper, RngStream(6, round=t, purpose="local-solve"))
-        alpha = commit(alpha, upd.rho, 0.8)
+        commit(alpha, part.rows, upd.rho, 0.8)
         model = GlobalModel(model.phi + 0.8 * upd.delta_phi, t + 1)
-    for i, a in alpha.alpha.items():
-        assert losses.is_feasible(losses.LOGISTIC, a, float(gaussian_60x4.labels[i]))
+    assert is_feasible(losses.LOGISTIC, alpha, gaussian_60x4.labels)
 
 
 def test_zero_feature_rows_take_the_separable_optimum():
@@ -180,19 +183,21 @@ def test_zero_feature_rows_take_the_separable_optimum():
     part = _full_partition(ds)
     model = GlobalModel(np.zeros(2), 0)
     hyper = Hyperparams(lam=1.0, local_passes=1)
-    upd_sq = local_solve(part, ds, DualState(0, {}), model, losses.SQUARED, hyper,
+    upd_sq = local_solve(part, ds, np.zeros(4), model, losses.SQUARED, hyper,
                          RngStream(1, purpose="local-solve"))
-    assert upd_sq.rho == {0: 1.0, 1: -1.0, 2: 1.0, 3: -1.0}
-    upd_lg = local_solve(part, ds, DualState(0, {}), model, losses.LOGISTIC, hyper,
+    assert upd_sq.rho.tolist() == [1.0, -1.0, 1.0, -1.0]
+    upd_lg = local_solve(part, ds, np.zeros(4), model, losses.LOGISTIC, hyper,
                          RngStream(1, purpose="local-solve"))
-    assert upd_lg.rho == {0: 0.5, 1: -0.5, 2: 0.5, 3: -0.5}
+    assert upd_lg.rho.tolist() == [0.5, -0.5, 0.5, -0.5]
 
 
 def test_commit_arithmetic():
-    st = DualState(3, {10: 0.2})
-    assert commit(st, {10: 0.4}, 0.0).alpha[10] == pytest.approx(0.2)
-    assert commit(st, {10: 0.4}, 0.5).alpha[10] == pytest.approx(0.4)
-    assert commit(st, {10: 0.4}, 1.0).alpha[10] == pytest.approx(0.6)
+    rows, rho = np.array([10]), np.array([0.4])
+    for nu, expected in ((0.0, 0.2), (0.5, 0.4), (1.0, 0.6)):
+        alpha = np.zeros(11)
+        alpha[10] = 0.2
+        commit(alpha, rows, rho, nu)
+        assert alpha[10] == pytest.approx(expected)
 
 
 def test_upload_size():
@@ -208,9 +213,46 @@ def test_model_snapshot_round_trip(tmp_path):
     assert np.array_equal(load_model(path), phi)
 
 
-def test_stitch_alpha_combines_disjoint_clients(gaussian_60x4):
-    a = DualState(0, {0: 1.0, 2: -0.5})
-    b = DualState(1, {5: 0.25})
-    vec = stitch_alpha([a, b], len(gaussian_60x4))
+def test_commits_of_disjoint_clients_fill_one_alpha(gaussian_60x4):
+    vec = np.zeros(len(gaussian_60x4))
+    commit(vec, np.array([0, 2]), np.array([1.0, -0.5]), 1.0)
+    commit(vec, np.array([5]), np.array([0.25]), 1.0)
     assert vec[0] == 1.0 and vec[2] == -0.5 and vec[5] == 0.25
     assert np.count_nonzero(vec) == 3
+
+
+def test_commit_matches_the_scalar_merge_bit_for_bit():
+    gen = np.random.Generator(np.random.PCG64(9))
+    alpha = gen.normal(size=50)
+    rows = np.sort(gen.choice(50, size=20, replace=False))
+    rho, nu = gen.normal(size=20), 0.37
+    expected = alpha.copy()
+    for i, r in zip(rows.tolist(), rho.tolist()):
+        expected[i] = expected[i] + nu * r
+    commit(alpha, rows, rho, nu)
+    assert alpha.tobytes() == expected.tobytes()
+
+
+def _bisect_logit_root(alpha, y, base, qcoef):
+    c = y * base - qcoef * alpha * y
+    lo, hi = -c - qcoef, -c
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if _logit_residual(mid, qcoef, c)[0] > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return _logit_residual(0.5 * (lo + hi), qcoef, c)[2] * y - alpha
+
+
+def test_logistic_coordinate_solve_matches_bisection():
+    gen = np.random.Generator(np.random.PCG64(31))
+    for _ in range(500):
+        y = 1.0 if gen.random() < 0.5 else -1.0
+        alpha = float(gen.uniform(0.0, 1.0)) * y
+        base = float(gen.normal(scale=20.0))
+        qcoef = float(gen.uniform(0.0, 50.0))
+        r = _solve_logistic(alpha, y, base, qcoef)
+        assert -1e-15 <= (alpha + r) * y <= 1.0 + 1e-15
+        assert r == pytest.approx(_bisect_logit_root(alpha, y, base, qcoef),
+                                  rel=1e-12, abs=1e-13)

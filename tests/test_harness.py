@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 
 from fedtoken import cli
@@ -51,7 +53,41 @@ def test_nan_in_a_round_record_is_not_written_as_json(tmp_path, monkeypatch):
     monkeypatch.setattr(harness.scheduler, "round_step", nan_loss_round)
     with pytest.raises(ValueError, match="JSON"):
         run(make_cfg(rounds=1), tmp_path)
-    assert "NaN" not in (tmp_path / "metrics.jsonl").read_text(encoding="utf-8")
+    text = (tmp_path / "metrics.jsonl").read_text(encoding="utf-8")
+    assert "NaN" not in text
+    # the failed run still ends with a strict-JSON summary naming the failure
+    records = [json.loads(line, parse_constant=_reject) for line in text.splitlines()]
+    assert [r["record"] for r in records] == ["summary"]
+    summary = records[0]
+    assert summary["stop_reason"] == "error" and summary["failed_round"] == 1
+    assert summary["rounds_executed"] == 0 and "JSON" in summary["error"]
+    assert json.loads((tmp_path / "summary.json").read_text(encoding="utf-8")) == summary
+
+
+def _reject(constant):
+    raise ValueError(f"non-strict JSON constant {constant}")
+
+
+def test_error_summary_follows_the_rounds_written_before_the_failure(tmp_path, monkeypatch):
+    from fedtoken import harness
+    real_round_step = harness.scheduler.round_step
+
+    def fail_in_round_three(state, cfg):
+        if state.round == 2:
+            raise RuntimeError("solver exploded")
+        return real_round_step(state, cfg)
+
+    monkeypatch.setattr(harness.scheduler, "round_step", fail_in_round_three)
+    with pytest.raises(RuntimeError, match="exploded"):
+        run(make_cfg(rounds=4), tmp_path)
+    records = read_metrics(tmp_path / "metrics.jsonl")
+    assert [r["record"] for r in records] == ["round", "round", "summary"]
+    summary = records[-1]
+    assert summary["stop_reason"] == "error" and summary["failed_round"] == 3
+    assert summary["rounds_executed"] == 2
+    assert summary["error"] == "RuntimeError: solver exploded"
+    assert summary["final_test_loss"] == records[1]["test_loss"]
+    assert verify_file(tmp_path / "ledger.ftlg") == (None, 2)
 
 
 def test_zero_rounds_returns_the_initial_model(tmp_path):
@@ -248,6 +284,21 @@ def test_cli_validation_exit_code(tmp_path):
     bad = tmp_path / "bad.ini"
     bad.write_text("[run]\nseed = 1\n[learning]\nlambda = -3\n", encoding="utf-8")
     assert cli.main(["run", "--config", str(bad)]) == 1
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("tokens", "total_tokens", 10**14),
+    ("data", "n_samples", 8),
+])
+def test_cli_rejects_configs_the_ledger_or_partition_cannot_hold(tmp_path, capsys,
+                                                                  section, key, value):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(f"[run]\nseed = 1\n[federation]\nn_clients = 20\nrounds = 3\n"
+                   f"[{section}]\n{key} = {value}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    assert f"{section}.{key}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_runtime_exit_code(tmp_path):

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
-from fedtoken.ledger import (Chain, GENESIS_PREV_HASH, KIND_CONTRIBUTION,
+from fedtoken.ledger import (Block, Chain, GENESIS_PREV_HASH, KIND_CONTRIBUTION,
                              KIND_PARTICIPATION, LedgerFormatError, SequencingError,
-                             append_to_file, verify_file)
+                             TokenTransaction, append_to_file, verify_file)
 from fedtoken.tokenomics import RoundAllocation
 
 
@@ -68,6 +68,40 @@ def test_block_hash_matches_external_hash_tool(tmp_path):
 
 def test_verify_clean_chain():
     assert _sample_chain().verify() is None
+
+
+def _rehashed(chain, k, transactions):
+    """Swap block k's transactions, then re-hash and re-link every block from k."""
+    blocks = chain.blocks[:k]
+    prev = blocks[-1].block_hash if blocks else GENESIS_PREV_HASH
+    for j, block in enumerate(chain.blocks[k:], start=k):
+        txs = transactions if j == k else block.transactions
+        draft = Block(j, prev, txs, b"")
+        blocks.append(Block(j, prev, txs, hashlib.sha256(draft.body_bytes()).digest()))
+        prev = blocks[-1].block_hash
+    return Chain(blocks)
+
+
+@pytest.mark.parametrize("forge", ["wrong-round", "unsorted", "duplicate"])
+def test_rehashed_chain_that_breaks_a_writer_invariant_is_detected(tmp_path, forge):
+    chain = _sample_chain(4)
+    txs = list(chain.blocks[2].transactions)  # round 3: clients 1, 2, 3
+    if forge == "wrong-round":
+        txs[1] = TokenTransaction(2, txs[1].client_id, txs[1].kind,
+                                  txs[1].amount_microtokens)
+    elif forge == "unsorted":
+        txs[0], txs[1] = txs[1], txs[0]
+    else:
+        txs[1] = TokenTransaction(3, txs[0].client_id, txs[0].kind, 7)
+    forged = _rehashed(chain, 2, tuple(txs))
+    # hashes and links are consistent, so only the invariants catch it
+    assert all(b.prev_hash == a.block_hash
+               for a, b in zip(forged.blocks, forged.blocks[1:]))
+    assert forged.verify() == 2
+    path = tmp_path / "ledger.ftlg"
+    forged.write(path)
+    assert verify_file(path) == (2, 4)
+    assert _rehashed(chain, 2, chain.blocks[2].transactions).verify() is None
 
 
 def test_sequencing_errors():

@@ -11,32 +11,48 @@ from fedtoken import losses
 
 def test_squared_conjugate_at_origin_is_zero():
     for y in (-1.0, 1.0):
-        assert losses.conjugate_term(losses.SQUARED, 0.0, y) == 0.0
+        assert losses.conjugate(losses.SQUARED, 0.0, y) == 0.0
 
 
 def test_squared_conjugate_formula():
     # a*y - a^2/2
-    assert losses.conjugate_term(losses.SQUARED, 0.4, 1.0) == pytest.approx(0.4 - 0.08)
-    assert losses.conjugate_term(losses.SQUARED, -2.0, -1.0) == pytest.approx(2.0 - 2.0)
+    assert losses.conjugate(losses.SQUARED, 0.4, 1.0) == pytest.approx(0.4 - 0.08)
+    assert losses.conjugate(losses.SQUARED, -2.0, -1.0) == pytest.approx(2.0 - 2.0)
 
 
 def test_logistic_entropy_endpoints_are_zero():
-    assert losses.conjugate_term(losses.LOGISTIC, 0.0, 1.0) == 0.0
-    assert losses.conjugate_term(losses.LOGISTIC, 1.0, 1.0) == 0.0
-    assert losses.conjugate_term(losses.LOGISTIC, -1.0, -1.0) == 0.0
+    assert losses.conjugate(losses.LOGISTIC, 0.0, 1.0) == 0.0
+    assert losses.conjugate(losses.LOGISTIC, 1.0, 1.0) == 0.0
+    assert losses.conjugate(losses.LOGISTIC, -1.0, -1.0) == 0.0
 
 
 def test_logistic_entropy_midpoint_is_log_two():
     expected = -(0.5 * math.log(0.5) + 0.5 * math.log(0.5))
-    assert losses.conjugate_term(losses.LOGISTIC, 0.5, 1.0) == pytest.approx(expected)
+    assert losses.conjugate(losses.LOGISTIC, 0.5, 1.0) == pytest.approx(expected)
     assert expected == pytest.approx(math.log(2.0))
 
 
 def test_logistic_domain_error_outside_unit_interval():
     with pytest.raises(losses.DualDomainError):
-        losses.conjugate_term(losses.LOGISTIC, 1.5, 1.0)
+        losses.conjugate(losses.LOGISTIC, 1.5, 1.0)
     with pytest.raises(losses.DualDomainError):
-        losses.conjugate_term(losses.LOGISTIC, 0.5, -1.0)
+        losses.conjugate(losses.LOGISTIC, 0.5, -1.0)
+
+
+def test_logistic_conjugate_over_arrays():
+    y = np.array([1.0, 1.0, 1.0, -1.0, -1.0, 1.0, 1.0])
+    a = np.array([0.0, 1.0, 0.25, -0.75, -1.0, -1e-12, 1.0 + 1e-12])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = losses.conjugate(losses.LOGISTIC, a, y)
+    # 0 log 0 = 0 at both endpoints, also just outside them within 1e-12
+    expected = [0.0, 0.0, -(0.25 * math.log(0.25) + 0.75 * math.log(0.75)),
+                -(0.75 * math.log(0.75) + 0.25 * math.log(0.25)), 0.0, 0.0, 0.0]
+    np.testing.assert_allclose(got, expected, rtol=1e-15, atol=0.0)
+    with pytest.raises(losses.DualDomainError, match="1.000000000002"):
+        losses.conjugate(losses.LOGISTIC, np.array([0.5, 1.0 + 2e-12]), np.ones(2))
+    with pytest.raises(losses.DualDomainError):
+        losses.conjugate(losses.LOGISTIC, np.array([-2e-12]), np.ones(1))
 
 
 @given(st.floats(-30.0, 30.0), st.sampled_from([-1.0, 1.0]))

@@ -103,7 +103,7 @@ def test_phi_alpha_consistency_across_policies():
     for policy in policies:
         stepped = with_overrides(cfg, aggregation=policy)
         round_step(state, stepped)
-        rebuilt = phi_of_alpha(state.dual_states(), state.effective_train, cfg.lam)
+        rebuilt = phi_of_alpha(state.alpha, state.effective_train, cfg.lam)
         scale = max(np.linalg.norm(rebuilt), 1e-12)
         assert np.linalg.norm(state.model.phi - rebuilt) / scale < 1e-10
 

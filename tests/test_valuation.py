@@ -63,11 +63,11 @@ def test_helpful_delta_beats_zero_delta():
 
 def test_converged_local_solve_produces_positive_utility():
     from fedtoken.data import ClientPartition, synth_gaussian
-    from fedtoken.dual import DualState, GlobalModel, Hyperparams, local_solve
+    from fedtoken.dual import GlobalModel, Hyperparams, local_solve
     train = synth_gaussian(60, 3, 3.0, RngStream(2, purpose="synth-data"))
     test = synth_gaussian(60, 3, 3.0, RngStream(3, purpose="synth-data"))
     part = ClientPartition(0, tuple(range(60)))
-    upd = local_solve(part, train, DualState(0, {}), GlobalModel(np.zeros(3), 0),
+    upd = local_solve(part, train, np.zeros(60), GlobalModel(np.zeros(3), 0),
                       losses.LOGISTIC, Hyperparams(lam=0.05, local_passes=30),
                       RngStream(4, purpose="local-solve"))
     ctx = UtilityContext(np.zeros(3), {0: upd.delta_phi, 1: np.zeros(3)},
