@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from . import ledger, losses, scheduler, tokenomics
+from . import ledger, losses, scheduler, tokenomics, valuation
 from .data import VALID_SCHEMES, split_sizes
 
 
@@ -50,7 +50,7 @@ class ExperimentConfig:
     # valuation
     delta: int = 4
     eps: float = 0.0
-    weighting: str = "mean"
+    weighting: str = valuation.MEAN_WEIGHTING
     # attack
     poison_clients: tuple[int, ...] = ()
     flip_fraction: float = 1.0
@@ -58,7 +58,7 @@ class ExperimentConfig:
     total_tokens: int = 1000
     per_round_microtokens: int | None = None
     participation_base_microtokens: int | None = None
-    allocation: str = "pf"
+    allocation: str = tokenomics.PROPORTIONAL_FAIR
     zeta: float = 0.7
     participation_for_selected: bool = False
 
@@ -88,11 +88,6 @@ class ExperimentConfig:
         if self.participation_base_microtokens is not None:
             return self.participation_base_microtokens
         return self.resolved_per_round_microtokens // 100
-
-    @property
-    def allocation_kind(self) -> str:
-        return tokenomics.PROPORTIONAL_FAIR if self.allocation == "pf" \
-            else tokenomics.EQUAL_PAY
 
 
 def _parse_bool(raw: str) -> bool:
@@ -246,8 +241,8 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
         fail("delta", "must be >= 1")
     if cfg.eps < 0:
         fail("eps", "must be >= 0")
-    if cfg.weighting not in ("mean", "sum"):
-        fail("weighting", "must be 'mean' or 'sum'")
+    if cfg.weighting not in valuation.WEIGHTINGS:
+        fail("weighting", f"must be one of {valuation.WEIGHTINGS}")
     if any(not 0 <= c < cfg.n_clients for c in cfg.poison_clients):
         fail("poison_clients", f"ids must lie in [0, {cfg.n_clients})")
     if not 0.0 <= cfg.flip_fraction <= 1.0:
@@ -263,8 +258,8 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
         fail("per_round_microtokens", "per-round pool exceeds the total budget")
     if cfg.participation_base_microtokens is not None and cfg.participation_base_microtokens < 0:
         fail("participation_base_microtokens", "must be >= 0")
-    if cfg.allocation not in ("pf", "ep"):
-        fail("allocation", "must be 'pf' or 'ep'")
+    if cfg.allocation not in tokenomics.ALLOCATION_KINDS:
+        fail("allocation", f"must be one of {tokenomics.ALLOCATION_KINDS}")
     if not 0.0 < cfg.zeta < 1.0:
         fail("zeta", "must be in (0, 1)")
     return cfg

@@ -59,11 +59,6 @@ class GlobalModel:
             raise ValueError("model vector must be finite")
         object.__setattr__(self, "phi", phi)
 
-    @property
-    def w(self) -> np.ndarray:
-        # primal model equals phi under the quadratic regularizer
-        return self.phi
-
 
 @dataclass(frozen=True)
 class LocalUpdate:

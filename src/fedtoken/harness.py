@@ -9,15 +9,12 @@ A run writes four files into the output directory:
 * ``summary.json``   - the summary record on its own, for convenience
 
 Sweeps re-run the same config while varying one axis, each value in its
-own subdirectory, and return a comparison table.  ``FEDTOKEN_THREADS``
-caps how many sweep runs execute concurrently.
+own subdirectory, and return a comparison table.
 """
 
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,7 +22,7 @@ import numpy as np
 
 from . import ledger as ledger_mod
 from . import scheduler, tokenomics
-from .config import ExperimentConfig, with_overrides
+from .config import ConfigError, ExperimentConfig, with_overrides
 from .data import Dataset, load_csv, partition, PartitionScheme, poison_labels, \
     synth_gaussian, train_test_split
 from .dual import GlobalModel, save_model
@@ -59,6 +56,10 @@ def build_simulation(cfg: ExperimentConfig) -> SimulationState:
     full = _load_dataset(cfg)
     train, test = train_test_split(full, cfg.test_fraction,
                                    RngStream(cfg.seed, purpose="train-test-split"))
+    if len(train) < cfg.n_clients:
+        # config.validate checks this for synthetic data; a CSV's rows are known only now
+        raise ConfigError(f"data.csv_path: its training split has {len(train)} rows, "
+                          f"fewer than the {cfg.n_clients} clients")
     scheme = PartitionScheme(kind=cfg.partition_scheme, seed=cfg.seed,
                              shards_k=cfg.shards_k, dirichlet_beta=cfg.dirichlet_beta)
     parts = partition(train, cfg.n_clients, scheme)
@@ -184,14 +185,6 @@ def _apply_axis(cfg: ExperimentConfig, axis: str, value: float) -> ExperimentCon
     raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
 
 
-def max_threads() -> int:
-    raw = os.environ.get("FEDTOKEN_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def sweep(cfg: ExperimentConfig, axis: str, values, out_dir: str | Path | None = None) -> list[dict]:
     """One run per axis value under a shared seed schedule; returns table rows."""
     values = list(values)
@@ -199,17 +192,8 @@ def sweep(cfg: ExperimentConfig, axis: str, values, out_dir: str | Path | None =
         raise ValueError("sweep needs at least one value")
     configs = [_apply_axis(cfg, axis, v) for v in values]
     out = Path(out_dir) if out_dir is not None else None
-
-    def _one(i: int) -> RunResult:
-        sub = out / f"{axis}-{values[i]}" if out is not None else None
-        return run(configs[i], sub)
-
-    workers = min(max_threads(), len(values))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_one, range(len(values))))
-    else:
-        results = [_one(i) for i in range(len(values))]
+    results = [run(c, out / f"{axis}-{v}" if out is not None else None)
+               for v, c in zip(values, configs)]
 
     rows = []
     for value, res in zip(values, results):

@@ -30,7 +30,6 @@ from .valuation import (ContributionVector, PermutationPlan, UtilityContext,
 FEDTOKEN = "fedtoken"
 FEDAVG_ALL = "fedavg-all"
 RANDOM_QUOTA = "random-quota"
-AGGREGATION_POLICIES = (FEDTOKEN, FEDAVG_ALL, RANDOM_QUOTA)
 
 
 class BudgetExhausted(RuntimeError):
@@ -141,11 +140,10 @@ def aggregate(phi_t: np.ndarray, selection: SelectionResult,
     return phi
 
 
-def _resolve_nu(cfg, policy: str, cohort_size: int, n_selected: int) -> float:
+def _resolve_nu(cfg, n: int) -> float:
+    """Step weight for ``n`` selected updates: ``1/n`` under ``nu = auto``."""
     if cfg.nu == "auto":
-        if policy == FEDAVG_ALL:
-            return 1.0 / cohort_size
-        return 1.0 / max(n_selected, 1)
+        return 1.0 / max(n, 1)
     return float(cfg.nu)
 
 
@@ -154,6 +152,44 @@ def _test_metrics(model: np.ndarray, test: Dataset, loss: str) -> tuple[float, f
     preds = np.where(scores > 0.0, 1.0, -1.0)
     accuracy = float(np.mean(preds == test.labels))
     return accuracy, mean_loss(loss, model, test.features, test.labels)
+
+
+# A selector picks the round's aggregated clients from the state, the config,
+# the RoundPlan, the cohort's deltas and the run's root RngStream.  It returns
+# the selection, the contributions that allocation pays by (or None), the
+# efficiency residual (or None) and the utility context whose query counts the
+# round reports (or None).
+
+def _select_fedtoken(state, cfg, plan, deltas, root):
+    ctx = UtilityContext(state.model.phi, deltas, state.test, cfg.loss,
+                         weighting=cfg.weighting, nu=_resolve_nu(cfg, plan.quota))
+    perm_plan = PermutationPlan(delta=cfg.delta, eps=cfg.eps,
+                                stream=root.scoped(round=plan.round, client=0,
+                                                   purpose="shapley-perms"))
+    u = tmc_shapley(ctx, plan.cohort, perm_plan)
+    return select_top_q(u, plan.quota), u.u, efficiency_residual(u, ctx, plan.cohort), ctx
+
+
+def _select_fedavg_all(state, cfg, plan, deltas, root):
+    return SelectionResult(selected=plan.cohort, rejected=(),
+                           flagged_non_contributing=()), None, None, None
+
+
+def _select_random_quota(state, cfg, plan, deltas, root):
+    gen = root.scoped(round=plan.round, client=0, purpose="random-quota").generator()
+    picked = gen.choice(len(plan.cohort), size=plan.quota, replace=False)
+    chosen = tuple(sorted(plan.cohort[int(i)] for i in picked))
+    rest = tuple(c for c in plan.cohort if c not in chosen)
+    return SelectionResult(selected=chosen, rejected=rest,
+                           flagged_non_contributing=()), None, None, None
+
+
+SELECTORS = {
+    FEDTOKEN: _select_fedtoken,
+    FEDAVG_ALL: _select_fedavg_all,
+    RANDOM_QUOTA: _select_random_quota,
+}
+AGGREGATION_POLICIES = tuple(SELECTORS)
 
 
 def round_step(state: SimulationState, cfg) -> RoundMetrics:
@@ -175,37 +211,8 @@ def round_step(state: SimulationState, cfg) -> RoundMetrics:
     state.uploaded_bytes += len(cohort) * upload_size(state.train.d)
     deltas = {c: upd.delta_phi for c, upd in updates.items()}
 
-    contributions: dict[int, float] = {}
-    u_map = None
-    residual = None
-    utility_queries = utility_evaluations = 0
-    if cfg.aggregation == FEDTOKEN:
-        ctx = UtilityContext(state.model.phi, deltas, state.test, cfg.loss,
-                             weighting=cfg.weighting,
-                             nu=_resolve_nu(cfg, FEDTOKEN, len(cohort), plan.quota))
-        perm_plan = PermutationPlan(delta=cfg.delta, eps=cfg.eps,
-                                    stream=root.scoped(round=t, client=0,
-                                                       purpose="shapley-perms"))
-        u = tmc_shapley(ctx, cohort, perm_plan)
-        selection = select_top_q(u, plan.quota)
-        contributions = dict(u.u)
-        u_map = u.u
-        residual = efficiency_residual(u, ctx, cohort)
-        utility_queries, utility_evaluations = ctx.queries, ctx.evaluations
-    elif cfg.aggregation == FEDAVG_ALL:
-        selection = SelectionResult(selected=cohort, rejected=(),
-                                    flagged_non_contributing=())
-    elif cfg.aggregation == RANDOM_QUOTA:
-        gen = root.scoped(round=t, client=0, purpose="random-quota").generator()
-        picked = gen.choice(len(cohort), size=plan.quota, replace=False)
-        chosen = tuple(sorted(cohort[int(i)] for i in picked))
-        rest = tuple(c for c in cohort if c not in set(chosen))
-        selection = SelectionResult(selected=chosen, rejected=rest,
-                                    flagged_non_contributing=())
-    else:
-        raise ValueError(f"unknown aggregation policy {cfg.aggregation!r}")
-
-    nu_round = _resolve_nu(cfg, cfg.aggregation, len(cohort), len(selection.selected))
+    selection, u, residual, ctx = SELECTORS[cfg.aggregation](state, cfg, plan, deltas, root)
+    nu_round = _resolve_nu(cfg, len(selection.selected))
     phi_next = aggregate(state.model.phi, selection, deltas, nu_round)
     for c in selection.selected:
         commit(state.alpha, state.partitions[c].rows, updates[c].rho, nu_round)
@@ -213,10 +220,8 @@ def round_step(state: SimulationState, cfg) -> RoundMetrics:
     state.model = GlobalModel(phi_next, t)
     state.round = t
 
-    policy = AllocationPolicy(cfg.allocation_kind, cfg.zeta,
-                              cfg.participation_for_selected)
-    allocation, state.budget = tokenomics.settle_round(state.budget, policy,
-                                                       u_map, selection, t)
+    policy = AllocationPolicy(cfg.allocation, cfg.zeta, cfg.participation_for_selected)
+    allocation, state.budget = tokenomics.settle_round(state.budget, policy, u, selection, t)
     block = state.chain.append_block(t, allocation)
 
     accuracy, test_loss = _test_metrics(phi_next, state.test, cfg.loss)
@@ -227,7 +232,7 @@ def round_step(state: SimulationState, cfg) -> RoundMetrics:
         test_accuracy=accuracy,
         test_loss=test_loss,
         duality_gap=gap,
-        contributions=contributions,
+        contributions=dict(u or {}),
         efficiency_residual=residual,
         selected=selection.selected,
         rejected=selection.rejected,
@@ -237,7 +242,7 @@ def round_step(state: SimulationState, cfg) -> RoundMetrics:
         budget_remaining=state.budget.remaining,
         uploaded_bytes=state.uploaded_bytes,
         committed_bytes=state.committed_bytes,
-        utility_queries=utility_queries,
-        utility_evaluations=utility_evaluations,
+        utility_queries=ctx.queries if ctx is not None else 0,
+        utility_evaluations=ctx.evaluations if ctx is not None else 0,
         block_hash=block.block_hash.hex(),
     )

@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-PROPORTIONAL_FAIR = "proportional-fair"
-EQUAL_PAY = "equal-pay"
+PROPORTIONAL_FAIR = "pf"
+EQUAL_PAY = "ep"
 ALLOCATION_KINDS = (PROPORTIONAL_FAIR, EQUAL_PAY)
 
 
@@ -148,11 +148,7 @@ def settle_round(budget: Budget, policy: AllocationPolicy,
         left -= grant
 
     selected = sorted(int(c) for c in selection.selected)
-    if not selected:
-        contribution = {}
-    elif u is None:
-        contribution = allocate_ep(selected, left)
-    elif policy.kind == PROPORTIONAL_FAIR:
+    if u is not None and policy.kind == PROPORTIONAL_FAIR:
         contribution = allocate_pf({c: u[c] for c in selected}, left)
     else:
         contribution = allocate_ep(selected, left)

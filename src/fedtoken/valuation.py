@@ -30,6 +30,7 @@ from .rng import RngStream
 
 MEAN_WEIGHTING = "mean"
 SUM_WEIGHTING = "sum"
+WEIGHTINGS = (MEAN_WEIGHTING, SUM_WEIGHTING)
 
 EXACT_SHAPLEY_MAX_PLAYERS = 10
 
@@ -105,7 +106,7 @@ class UtilityContext(CachedUtility):
                  test_set: Dataset, loss: str, v_ref: float | None = None,
                  weighting: str = MEAN_WEIGHTING, nu: float = 1.0):
         super().__init__()
-        if weighting not in (MEAN_WEIGHTING, SUM_WEIGHTING):
+        if weighting not in WEIGHTINGS:
             raise ValueError(f"unknown weighting {weighting!r}")
         if len(test_set) == 0:
             raise ValueError("test set must be non-empty")

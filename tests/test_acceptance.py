@@ -305,7 +305,7 @@ def test_criterion_08_token_conservation_and_fairness(tmp_path):
         ep = allocate_ep(list(weights), pool)
         assert max(ep.values()) - min(ep.values()) <= 1
 
-    policy = AllocationPolicy("proportional-fair", 0.7)
+    policy = AllocationPolicy("pf", 0.7)
     sel = type("S", (), {"selected": (0,), "rejected": (1,),
                          "flagged_non_contributing": ()})()
     award = participation_rewards((0, 1), sel, 3, policy, 10**6)[1]

@@ -183,15 +183,6 @@ def test_sweep_rejects_unknown_axis():
         sweep(make_cfg(), "cohort", [1])
 
 
-def test_parallel_sweep_matches_sequential(monkeypatch):
-    cfg = make_cfg(rounds=3)
-    monkeypatch.delenv("FEDTOKEN_THREADS", raising=False)
-    sequential = sweep(cfg, "delta", [1, 2, 4])
-    monkeypatch.setenv("FEDTOKEN_THREADS", "3")
-    parallel = sweep(cfg, "delta", [1, 2, 4])
-    assert parallel == sequential
-
-
 def test_round_step_preconditions():
     from fedtoken.harness import build_simulation
     from fedtoken.scheduler import BudgetExhausted, round_step
@@ -298,6 +289,19 @@ def test_cli_rejects_configs_the_ledger_or_partition_cannot_hold(tmp_path, capsy
     out = tmp_path / "out"
     assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 1
     assert f"{section}.{key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_rejects_a_csv_with_fewer_training_rows_than_clients(tmp_path, capsys):
+    data = tmp_path / "tiny.csv"
+    assert cli.main(["gen-data", "--n", "8", "--d", "2", "--separation", "2.0",
+                     "--seed", "1", "--out", str(data)]) == 0
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(f"[run]\nseed = 1\n[data]\nsource = csv\ncsv_path = {data}\n"
+                   "[federation]\nn_clients = 20\nrounds = 3\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "data.csv_path" in capsys.readouterr().err
     assert not out.exists()
 
 

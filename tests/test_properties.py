@@ -1,7 +1,8 @@
 """Property tests over random small valid configs.
 
 Each drawn config is stepped round by round, checking the invariants the
-paper's design rests on, and is then run twice to disk to check that the
+paper's design rests on (among them a verifying hash chain and tokens
+conserved to the microtoken), and is then run twice to disk to check that the
 artifacts are byte-identical.
 """
 
@@ -66,6 +67,9 @@ def test_round_invariants_and_byte_identical_reruns(cfg):
         cohort = sample_cohort(cfg.n_clients, cfg.m_fraction, m.round, RngStream(cfg.seed))
         groups = (m.selected, m.rejected, m.flagged)
         assert sorted(c for g in groups for c in g) == list(cohort)
+        assert state.chain.verify() is None
+        issued = state.budget.total_microtokens - state.budget.remaining
+        assert sum(state.chain.balances().values()) == state.chain.total_issued() == issued
         if state.budget.exhausted:
             break
 

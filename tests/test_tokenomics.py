@@ -8,7 +8,7 @@ from fedtoken.tokenomics import (AllocationPolicy, Budget, allocate_ep, allocate
 M = 10**6
 
 
-def _policy(kind="proportional-fair", zeta=0.7, for_selected=False):
+def _policy(kind="pf", zeta=0.7, for_selected=False):
     return AllocationPolicy(kind=kind, discount_zeta=zeta,
                             participation_for_selected=for_selected)
 
@@ -144,7 +144,7 @@ def test_budget_exhausts_on_schedule():
     # 1000 tokens at 50 tokens per fully spent round runs dry at round 20
     budget = Budget(total_microtokens=1000 * M, per_round_microtokens=50 * M,
                     participation_base_microtokens=0, remaining=1000 * M)
-    policy = _policy(kind="equal-pay")
+    policy = _policy(kind="ep")
     sel = _selection(selected=(0, 1))
     t = 0
     while not budget.exhausted:
@@ -172,7 +172,7 @@ def test_settlement_sequences_conserve_the_budget(seed):
     budget = Budget(total_microtokens=total, per_round_microtokens=per_round,
                     participation_base_microtokens=int(gen.integers(0, per_round + 1)),
                     remaining=total)
-    policy = _policy(kind="proportional-fair" if gen.random() < 0.5 else "equal-pay")
+    policy = _policy(kind="pf" if gen.random() < 0.5 else "ep")
     issued = 0
     for t in range(1, 15):
         if budget.exhausted:
