@@ -1,8 +1,9 @@
 """Property tests over random small valid configs.
 
 Each drawn config is stepped round by round, checking the invariants the
-paper's design rests on (among them a verifying hash chain and tokens
-conserved to the microtoken), and is then run twice to disk to check that the
+paper's design rests on (among them a verifying hash chain, tokens
+conserved to the microtoken and Shapley efficiency within the truncation
+tolerance), and is then run twice to disk to check that the
 artifacts are byte-identical.
 """
 
@@ -45,6 +46,7 @@ def small_configs(draw):
         quota=draw(st.integers(1, cohort)),
         rounds=draw(st.integers(1, 5)),
         delta=draw(st.integers(1, 4)),
+        eps=draw(st.sampled_from([0.0, 0.01, 0.1])),
         poison_clients=tuple(sorted(poison)),
         total_tokens=draw(st.integers(1, 50)),
     ))
@@ -67,6 +69,10 @@ def test_round_invariants_and_byte_identical_reruns(cfg):
         cohort = sample_cohort(cfg.n_clients, cfg.m_fraction, m.round, RngStream(cfg.seed))
         groups = (m.selected, m.rejected, m.flagged)
         assert sorted(c for g in groups for c in g) == list(cohort)
+        if m.efficiency_residual is not None:
+            # a permutation truncated within eps of the grand coalition's value
+            # misses at most eps of it; an untruncated one telescopes exactly
+            assert abs(m.efficiency_residual) <= cfg.eps + 1e-9
         assert state.chain.verify() is None
         issued = state.budget.total_microtokens - state.budget.remaining
         assert sum(state.chain.balances().values()) == state.chain.total_issued() == issued

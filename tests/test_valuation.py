@@ -4,7 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from fedtoken import losses
+from fedtoken import losses, valuation
 from fedtoken.data import Dataset
 from fedtoken.rng import RngStream
 from fedtoken.valuation import (GameUtility, OracleSizeError,
@@ -119,6 +119,80 @@ def test_subset_values_do_not_depend_on_the_permutation_that_reached_them():
             a = ctxs[0].value(frozenset(combo))
             b = ctxs[1].value(frozenset(combo))
             assert a.hex() == b.hex(), combo
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.05])
+def test_each_utility_evaluation_makes_one_mean_loss_call(monkeypatch, eps):
+    # the benchmark's tracer counts evaluations as the mean_loss calls made
+    # inside UtilityContext.value; the one extra call scores v_ref
+    calls = []
+    real = losses.mean_loss
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(valuation.losses, "mean_loss", counted)
+    gen = np.random.Generator(np.random.PCG64(12))
+    deltas = {c: 0.5 * gen.standard_normal(3) for c in range(6)}
+    ctx = _model_ctx(deltas)
+    plan = PermutationPlan(delta=12, eps=eps, stream=RngStream(6, purpose="perms"))
+    tmc_shapley(ctx, tuple(range(6)), plan)
+    assert ctx.queries > ctx.evaluations > 0
+    assert len(calls) == ctx.evaluations + 1
+
+
+def _scaled_deltas(case):
+    gen = np.random.Generator(np.random.PCG64(31))
+    raw = [gen.standard_normal(3) for _ in range(6)]
+    if case == "zero":
+        scales = [0.0] * 6
+    elif case == "tiny":
+        # the finer of the two grids falls below 2**-1074 and is clamped
+        scales = [1e-300 * (1 + c) for c in range(6)]
+    else:
+        # on the coarse grid alone the smallest clients' scores round away
+        scales = list(np.logspace(-8, 8, 6))
+    return {c: s * r for c, (s, r) in enumerate(zip(scales, raw))}
+
+
+@pytest.mark.parametrize("loss", losses.LOSS_KINDS)
+@pytest.mark.parametrize("case", ["zero", "tiny", "wide"])
+def test_snapped_scores_give_path_independent_exact_subset_values(loss, case):
+    # the suite turns a RuntimeWarning into a failure (pyproject.toml)
+    deltas = _scaled_deltas(case)
+    players = tuple(sorted(deltas))
+    subsets = [frozenset(s) for k in range(len(players) + 1)
+               for s in combinations(players, k)]
+    test = _test_set(6)
+    phi_t = np.array([0.2, -0.1, 0.05])
+
+    def context():
+        return UtilityContext(phi_t, deltas, test, loss)
+
+    gen = np.random.Generator(np.random.PCG64(8))
+    filled = []
+    for _ in range(30):
+        ctx = context()
+        perm = tuple(int(p) for p in gen.permutation(players))
+        tmc_shapley(ctx, players, PermutationPlan(delta=1, eps=0.0, permutations=(perm,)))
+        for i in gen.permutation(len(subsets)):
+            ctx.value(subsets[i])
+        filled.append(ctx)
+    ctx = context()
+    exact_shapley(ctx, players)
+    filled.append(ctx)
+
+    v_ref = losses.mean_loss(loss, phi_t, test.features, test.labels)
+    for s in subsets:
+        values = {ctx.value(s).hex() for ctx in filled}
+        assert len(values) == 1, (sorted(s), values)
+        v = filled[0].value(s)
+        model = phi_t + (1.0 / len(s)) * sum(deltas[c] for c in s) if s else phi_t
+        expected = v_ref - losses.mean_loss(loss, model, test.features, test.labels)
+        assert abs(v - expected) <= 1e-12 * max(1.0, abs(expected)), sorted(s)
+        if case == "zero":
+            assert v == 0.0
 
 
 def test_exact_shapley_singleton():
