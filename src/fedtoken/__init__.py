@@ -11,7 +11,7 @@ from .config import ConfigError, ExperimentConfig, load_config, save_config
 from .data import (ClientPartition, Dataset, InfeasiblePartitionError,
                    PartitionScheme, load_csv, partition, poison_labels, save_csv,
                    synth_gaussian, train_test_split)
-from .dual import (GlobalModel, Hyperparams, LocalUpdate, commit,
+from .dual import (Cohort, CohortUpdate, GlobalModel, Hyperparams, LocalUpdate, commit,
                    dual_objective, duality_gap, local_solve, primal_objective)
 from .harness import RunResult, build_simulation, missing_contributions, run, sweep
 from .ledger import Block, Chain, LedgerFormatError, SequencingError, TokenTransaction

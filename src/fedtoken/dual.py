@@ -1,4 +1,4 @@
-"""Primal/dual objectives and the per-client dual coordinate-ascent solver.
+"""Primal/dual objectives and the cohort's lockstep dual coordinate-ascent solve.
 
 The global problem is L2-regularized empirical risk minimization.  Its dual
 keeps one coordinate per training sample; the shared vector
@@ -8,12 +8,19 @@ keeps one coordinate per training sample; the shared vector
 coincides with the primal model under the quadratic regularizer, so model
 and dual state stay in exact correspondence round after round.
 
-A client owns the dual coordinates of its local samples.  One local solve
-runs a fixed number of randomized passes over those coordinates, solving
-each one-dimensional subproblem exactly: closed form for squared loss, a
-bracketed Newton root find in logit space for logistic.  The resulting step
-``rho`` never decreases the client's local dual objective relative to
-``rho = 0``.
+A client owns the dual coordinates of its local samples.  Its local solve
+runs a fixed number of randomized passes over those coordinates, given the
+round-start model, solving each one-dimensional subproblem exactly: closed
+form for squared loss, a bracketed Newton root find in logit space for
+logistic.  The resulting step ``rho`` never decreases the client's local
+dual objective relative to ``rho = 0``.
+
+The clients' solves read disjoint rows and their own running models, so
+they are independent, as CoCoA's local solvers are (Jaggi et al., NeurIPS
+2014).  :func:`local_solve` therefore runs a whole cohort at once: step k
+of every client's pass is one gathered block of rows, one batched row dot
+and one batched model update.  Each client still visits its rows in the
+order its own stream draws.
 """
 
 from __future__ import annotations
@@ -61,11 +68,26 @@ class GlobalModel:
 
 
 @dataclass(frozen=True)
+class Cohort:
+    """The partitions of the clients that train in one round."""
+    partitions: tuple[ClientPartition, ...]
+
+    def __len__(self) -> int:
+        """The number of dual coordinates the cohort owns: its rows."""
+        return sum(len(p) for p in self.partitions)
+
+
+@dataclass(frozen=True)
 class LocalUpdate:
     client_id: int
     rho: np.ndarray  # one step per row of the partition, in its index order
     delta_phi: np.ndarray
-    upload_bytes: int
+
+
+@dataclass(frozen=True)
+class CohortUpdate:
+    updates: dict[int, LocalUpdate]  # by client id, in the cohort's order
+    upload_bytes: int                # what the cohort uploads, all clients together
 
 
 def upload_size(d: int) -> int:
@@ -139,54 +161,79 @@ def _solve_logistic(alpha_i: float, y_i: float, base: float, qcoef: float) -> fl
     return min(max(-s - alpha_i, -1.0 - alpha_i), -alpha_i)
 
 
-def local_solve(part: ClientPartition, dataset: Dataset, alpha: np.ndarray,
+def local_solve(part: Cohort, dataset: Dataset, alpha: np.ndarray,
                 model: GlobalModel, loss: str, hyper: Hyperparams,
-                stream: RngStream) -> LocalUpdate:
-    """Run randomized exact coordinate ascent over the client's dual block.
+                stream: RngStream) -> CohortUpdate:
+    """Run every cohort client's randomized exact coordinate ascent in lockstep.
 
-    ``dataset`` is the client's view of the training data (labels may have
+    ``dataset`` is the clients' view of the training data (labels may have
     been poisoned locally) and ``alpha`` the global dual vector; only the
-    rows in ``part`` are read.  The solve keeps the running model
-    w = phi + (1 / (lambda * D)) * X_local^T rho, so each coordinate costs
-    one dot and one axpy.  The returned ``delta_phi`` is recomputed from
-    the final ``rho`` in one pass so it matches (1 / (lambda * D)) *
-    X_local^T rho exactly.
+    rows of the cohort's partitions are read.  ``stream`` is the round's
+    local-solve stream: client c draws one row permutation per pass from
+    ``stream.scoped(client=c)``, as a solve of its own would.
+
+    Each client keeps its running model w_c = phi + (1 / (lambda * D)) *
+    X_c^T rho_c.  The clients are ordered by (size descending, client id),
+    so those still visiting rows at step k of a pass are a leading slice
+    of that order.  Step k gathers each active client's k-th permuted row
+    into one block, takes one batched row dot against the running models,
+    solves the active coordinates (closed form for squared loss on the
+    whole vector, one scalar Newton solve per client for logistic) and
+    moves the models with one batched axpy.  Each ``delta_phi`` is
+    recomputed from the client's final ``rho`` in one pass, so it matches
+    (1 / (lambda * D)) * X_c^T rho_c exactly.
     """
     losses.check_kind(loss)
-    idx = part.rows
-    X = dataset.features[idx]
-    y = dataset.labels[idx]
-    scale = 1.0 / (hyper.lam * len(dataset))
-    a = alpha[idx]
-    if loss == losses.LOGISTIC:
+    parts = sorted(part.partitions, key=lambda p: (-len(p), p.client_id))
+    sizes = [len(p) for p in parts]
+    starts = np.cumsum([0, *sizes]).tolist()
+    idx = np.concatenate([np.zeros(0, np.intp), *(p.rows for p in parts)])
+    X, y, a = dataset.features[idx], dataset.labels[idx], alpha[idx]
+    lam_d = hyper.lam * len(dataset)
+    scale = 1.0 / lam_d
+    squared = loss == losses.SQUARED
+    if not squared:
         # commits keep alpha*y inside [0, 1] up to rounding; clip the dust
         a = np.clip(a, np.minimum(0.0, y), np.maximum(0.0, y))
-    rows = list(X)
-    ys, alphas = y.tolist(), a.tolist()
-    qs = (np.einsum("ij,ij->i", X, X) * scale).tolist()
-    rho = [0.0] * len(rows)
-    w = model.phi.copy()
-    squared = loss == losses.SQUARED
-    gen = stream.generator()
+    q = np.einsum("ij,ij->i", X, X) * scale
+    rho = np.zeros(len(idx))
+    models = np.tile(model.phi, (len(parts), 1))
+    gens = [stream.scoped(client=p.client_id).generator() for p in parts]
+    # live[k, i]: client i has a k-th row; active[k]: how many clients do
+    live = np.arange(max(sizes, default=0))[:, None] < np.array(sizes, dtype=np.intp)
+    active = np.count_nonzero(live, axis=1).tolist()
 
     for _ in range(hyper.local_passes):
-        for j in gen.permutation(len(rows)).tolist():
-            xj, rj, qj = rows[j], rho[j], qs[j]
-            base = float(xj.dot(w)) - rj * qj
+        # order[k, i]: client i's k-th row of this pass, as an index into X;
+        # the slots past a client's last row stay 0 and are never read
+        order = np.zeros(live.shape, dtype=np.intp)
+        for i, (gen, n) in enumerate(zip(gens, sizes)):
+            order[:n, i] = starts[i] + gen.permutation(n)
+        Xp, Qp, Rp = X[order], q[order], rho[order]
+        RQ = Rp * Qp
+        if squared:
+            YA, ONE = y[order] - a[order], 1.0 + Qp
+        else:
+            As, Ys, Qs = a[order].tolist(), y[order].tolist(), Qp.tolist()
+        for k, na in enumerate(active):
+            B, W, rk = Xp[k, :na], models[:na], Rp[k, :na]
+            # vecdot takes each row's dot as ndarray.dot does, to the bit
+            base = np.vecdot(B, W) - RQ[k, :na]
             if squared:
-                r = (ys[j] - alphas[j] - base) / (1.0 + qj)
+                r = (YA[k, :na] - base) / ONE[k, :na]
             else:
-                r = _solve_logistic(alphas[j], ys[j], base, qj)
-            w += ((r - rj) * scale) * xj
-            rho[j] = r
+                # map stops at the shortest input, base: the active clients
+                r = np.array(list(map(_solve_logistic, As[k], Ys[k], base.tolist(), Qs[k])))
+            W += ((r - rk) * scale)[:, None] * B
+            rk[:] = r
+        rho[order[live]] = Rp[live]
 
-    rho_arr = np.array(rho)
-    return LocalUpdate(
-        client_id=part.client_id,
-        rho=rho_arr,
-        delta_phi=X.T @ rho_arr / (hyper.lam * len(dataset)),
-        upload_bytes=upload_size(dataset.d),
-    )
+    solved = {}
+    for p, lo, hi in zip(parts, starts, starts[1:]):
+        solved[p.client_id] = LocalUpdate(client_id=p.client_id, rho=rho[lo:hi],
+                                          delta_phi=X[lo:hi].T @ rho[lo:hi] / lam_d)
+    return CohortUpdate(updates={p.client_id: solved[p.client_id] for p in part.partitions},
+                        upload_bytes=len(part.partitions) * upload_size(dataset.d))
 
 
 def commit(alpha: np.ndarray, rows: np.ndarray, rho: np.ndarray, nu: float) -> None:

@@ -1,7 +1,7 @@
 """Per-round orchestration: cohort sampling, selection, aggregation.
 
-A round runs: sample a cohort, collect every member's local update, value
-the updates (fedtoken policy only), pick at most ``quota`` of them, fold
+A round runs: sample a cohort, solve every member's local update in one
+lockstep cohort solve, value the updates (fedtoken policy only), pick at most ``quota`` of them, fold
 the chosen deltas into the global model with step weight nu, commit the
 matching dual steps, settle tokens, and append the round's block.  Clients
 that were not selected discard their step, which keeps the global model
@@ -19,7 +19,8 @@ import numpy as np
 
 from . import tokenomics
 from .data import ClientPartition, Dataset
-from .dual import GlobalModel, Hyperparams, commit, duality_gap, local_solve, upload_size
+from .dual import (Cohort, GlobalModel, Hyperparams, commit, duality_gap, local_solve,
+                   upload_size)
 from .ledger import Chain
 from .losses import mean_loss
 from .rng import RngStream
@@ -204,11 +205,11 @@ def round_step(state: SimulationState, cfg) -> RoundMetrics:
     plan = RoundPlan(round=t, cohort=cohort, quota=cfg.resolved_quota)
     hyper = Hyperparams(lam=cfg.lam, local_passes=cfg.local_passes)
 
-    updates = {c: local_solve(state.partitions[c], state.effective_train, state.alpha,
-                              state.model, cfg.loss, hyper,
-                              root.scoped(round=t, client=c, purpose="local-solve"))
-               for c in cohort}
-    state.uploaded_bytes += len(cohort) * upload_size(state.train.d)
+    solved = local_solve(Cohort(tuple(state.partitions[c] for c in cohort)),
+                         state.effective_train, state.alpha, state.model, cfg.loss, hyper,
+                         root.scoped(round=t, purpose="local-solve"))
+    updates = solved.updates
+    state.uploaded_bytes += solved.upload_bytes
     deltas = {c: upd.delta_phi for c, upd in updates.items()}
 
     selection, u, residual, ctx = SELECTORS[cfg.aggregation](state, cfg, plan, deltas, root)

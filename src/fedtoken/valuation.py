@@ -102,7 +102,8 @@ class CachedUtility:
         self._cache: dict[frozenset[int], float] = {}
 
     def value(self, subset) -> float:
-        subset = frozenset(map(int, subset))
+        if not isinstance(subset, frozenset):
+            subset = frozenset(map(int, subset))
         self.queries += 1
         cached = self._cache.get(subset)
         if cached is None:

@@ -7,6 +7,7 @@ row of the dataset, and a step ``rho`` aligned with a partition's rows.
 import numpy as np
 
 from fedtoken import losses
+from fedtoken.dual import LocalUpdate, _solve_logistic
 
 
 def is_feasible(kind: str, alpha: np.ndarray, labels: np.ndarray,
@@ -31,3 +32,43 @@ def local_gain(part, dataset, alpha: np.ndarray, model, loss: str, lam: float,
     lin = float(rho @ (X @ model.phi))
     dvec = X.T @ rho
     return (sep - lin) / D - float(dvec @ dvec) / (2.0 * lam * D * D)
+
+
+def scalar_local_solve(part, dataset, alpha: np.ndarray, model, loss: str, hyper,
+                       stream) -> LocalUpdate:
+    """One client's randomized exact coordinate ascent, one coordinate at a time.
+
+    The per-client loop that ``dual.local_solve`` runs in lockstep across a
+    cohort: ``stream`` is the client's own local-solve stream, and each
+    coordinate costs one ``dot`` and one axpy on the client's running model.
+    """
+    losses.check_kind(loss)
+    idx = part.rows
+    X = dataset.features[idx]
+    y = dataset.labels[idx]
+    scale = 1.0 / (hyper.lam * len(dataset))
+    a = alpha[idx]
+    if loss == losses.LOGISTIC:
+        a = np.clip(a, np.minimum(0.0, y), np.maximum(0.0, y))
+    rows = list(X)
+    ys, alphas = y.tolist(), a.tolist()
+    qs = (np.einsum("ij,ij->i", X, X) * scale).tolist()
+    rho = [0.0] * len(rows)
+    w = model.phi.copy()
+    squared = loss == losses.SQUARED
+    gen = stream.generator()
+
+    for _ in range(hyper.local_passes):
+        for j in gen.permutation(len(rows)).tolist():
+            xj, rj, qj = rows[j], rho[j], qs[j]
+            base = float(xj.dot(w)) - rj * qj
+            if squared:
+                r = (ys[j] - alphas[j] - base) / (1.0 + qj)
+            else:
+                r = _solve_logistic(alphas[j], ys[j], base, qj)
+            w += ((r - rj) * scale) * xj
+            rho[j] = r
+
+    rho_arr = np.array(rho)
+    return LocalUpdate(client_id=part.client_id, rho=rho_arr,
+                       delta_phi=X.T @ rho_arr / (hyper.lam * len(dataset)))

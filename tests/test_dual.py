@@ -4,13 +4,19 @@ import numpy as np
 import pytest
 
 from fedtoken import losses
-from fedtoken.data import ClientPartition, Dataset, synth_gaussian
-from fedtoken.dual import (GlobalModel, Hyperparams, _logit_residual, _solve_logistic,
-                           commit, dual_objective, duality_gap, load_model,
-                           local_solve, phi_of_alpha, primal_objective, save_model,
-                           upload_size)
+from fedtoken.data import (ClientPartition, Dataset, PartitionScheme, partition,
+                           synth_gaussian)
+from fedtoken.dual import (Cohort, GlobalModel, Hyperparams, _logit_residual,
+                           _solve_logistic, commit, dual_objective, duality_gap,
+                           load_model, local_solve, phi_of_alpha, primal_objective,
+                           save_model, upload_size)
 from fedtoken.rng import RngStream
-from oracles import coordinate_value, is_feasible, local_gain
+from oracles import coordinate_value, is_feasible, local_gain, scalar_local_solve
+
+
+def solve_one(part, *args):
+    """The local solve of a one-client cohort."""
+    return local_solve(Cohort((part,)), *args).updates[part.client_id]
 
 
 def _full_partition(ds):
@@ -112,8 +118,8 @@ def test_local_solve_never_decreases_the_local_objective(gaussian_60x4, loss):
     for seed in range(5):
         alpha = _random_feasible_state(gaussian_60x4, loss, 40 + seed)
         # keep phi consistent not required for the gain inequality itself
-        upd = local_solve(part, gaussian_60x4, alpha, model, loss, hyper,
-                          RngStream(seed, purpose="local-solve"))
+        upd = solve_one(part, gaussian_60x4, alpha, model, loss, hyper,
+                        RngStream(seed, purpose="local-solve"))
         gain = local_gain(part, gaussian_60x4, alpha, model, loss, 0.1, upd.rho)
         assert gain >= -1e-12
 
@@ -126,8 +132,8 @@ def test_single_client_squared_reaches_ridge_solution():
     model = GlobalModel(np.zeros(ds.d), 0)
     hyper = Hyperparams(lam=lam, local_passes=1)
     for t in range(200):
-        upd = local_solve(part, ds, alpha, model, losses.SQUARED, hyper,
-                          RngStream(1, round=t, purpose="local-solve"))
+        upd = solve_one(part, ds, alpha, model, losses.SQUARED, hyper,
+                        RngStream(1, round=t, purpose="local-solve"))
         commit(alpha, part.rows, upd.rho, 1.0)
         model = GlobalModel(model.phi + upd.delta_phi, t + 1)
     w_star = _ridge_solution(ds, lam)
@@ -142,22 +148,22 @@ def test_local_solve_is_stationary_at_the_optimum():
     alpha = np.zeros(len(ds))
     model = GlobalModel(np.zeros(ds.d), 0)
     solve_hyper = Hyperparams(lam=lam, local_passes=400)
-    upd = local_solve(part, ds, alpha, model, losses.SQUARED, solve_hyper,
-                      RngStream(2, purpose="local-solve"))
+    upd = solve_one(part, ds, alpha, model, losses.SQUARED, solve_hyper,
+                    RngStream(2, purpose="local-solve"))
     commit(alpha, part.rows, upd.rho, 1.0)
     model = GlobalModel(model.phi + upd.delta_phi, 1)
-    again = local_solve(part, ds, alpha, model, losses.SQUARED,
-                        Hyperparams(lam=lam, local_passes=1),
-                        RngStream(3, purpose="local-solve"))
+    again = solve_one(part, ds, alpha, model, losses.SQUARED,
+                      Hyperparams(lam=lam, local_passes=1),
+                      RngStream(3, purpose="local-solve"))
     assert np.linalg.norm(again.delta_phi) <= 1e-8
 
 
 def test_delta_phi_matches_rho_exactly(gaussian_60x4):
     part = ClientPartition(0, tuple(range(0, 30)))
     hyper = Hyperparams(lam=0.05, local_passes=2)
-    upd = local_solve(part, gaussian_60x4, np.zeros(len(gaussian_60x4)),
-                      GlobalModel(np.zeros(gaussian_60x4.d), 0), losses.LOGISTIC,
-                      hyper, RngStream(5, purpose="local-solve"))
+    upd = solve_one(part, gaussian_60x4, np.zeros(len(gaussian_60x4)),
+                    GlobalModel(np.zeros(gaussian_60x4.d), 0), losses.LOGISTIC,
+                    hyper, RngStream(5, purpose="local-solve"))
     rho_vec = np.zeros(len(gaussian_60x4))
     rho_vec[part.rows] = upd.rho
     expected = gaussian_60x4.features.T @ rho_vec / (0.05 * len(gaussian_60x4))
@@ -171,8 +177,8 @@ def test_logistic_commits_stay_feasible(gaussian_60x4):
     model = GlobalModel(np.zeros(gaussian_60x4.d), 0)
     hyper = Hyperparams(lam=0.05, local_passes=1)
     for t in range(20):
-        upd = local_solve(part, gaussian_60x4, alpha, model, losses.LOGISTIC,
-                          hyper, RngStream(6, round=t, purpose="local-solve"))
+        upd = solve_one(part, gaussian_60x4, alpha, model, losses.LOGISTIC,
+                        hyper, RngStream(6, round=t, purpose="local-solve"))
         commit(alpha, part.rows, upd.rho, 0.8)
         model = GlobalModel(model.phi + 0.8 * upd.delta_phi, t + 1)
     assert is_feasible(losses.LOGISTIC, alpha, gaussian_60x4.labels)
@@ -183,12 +189,51 @@ def test_zero_feature_rows_take_the_separable_optimum():
     part = _full_partition(ds)
     model = GlobalModel(np.zeros(2), 0)
     hyper = Hyperparams(lam=1.0, local_passes=1)
-    upd_sq = local_solve(part, ds, np.zeros(4), model, losses.SQUARED, hyper,
-                         RngStream(1, purpose="local-solve"))
+    upd_sq = solve_one(part, ds, np.zeros(4), model, losses.SQUARED, hyper,
+                       RngStream(1, purpose="local-solve"))
     assert upd_sq.rho.tolist() == [1.0, -1.0, 1.0, -1.0]
-    upd_lg = local_solve(part, ds, np.zeros(4), model, losses.LOGISTIC, hyper,
-                         RngStream(1, purpose="local-solve"))
+    upd_lg = solve_one(part, ds, np.zeros(4), model, losses.LOGISTIC, hyper,
+                       RngStream(1, purpose="local-solve"))
     assert upd_lg.rho.tolist() == [0.5, -0.5, 0.5, -0.5]
+
+
+def _ragged_cohort():
+    """Dirichlet partitions of a set with zero-feature rows: sizes 0, 1, 1, 5, ..., 21."""
+    base = synth_gaussian(60, 3, 2.0, RngStream(4, purpose="synth-data"))
+    features = base.features.copy()
+    features[::7] = 0.0
+    ds = Dataset(features, base.labels)
+    parts = partition(ds, 8, PartitionScheme("dirichlet", seed=0, dirichlet_beta=0.2))
+    sizes = sorted(len(p) for p in parts)
+    assert sizes[:3] == [0, 1, 1] and sizes[-1] > 2 * sizes[-4]
+    return ds, Cohort(tuple(parts))
+
+
+@pytest.mark.parametrize("passes", (1, 3))
+@pytest.mark.parametrize("loss", losses.LOSS_KINDS)
+def test_cohort_solve_matches_the_scalar_loop_client_by_client(loss, passes):
+    ds, cohort = _ragged_cohort()
+    alpha = _random_feasible_state(ds, loss, 17)
+    model = GlobalModel(np.linspace(-0.4, 0.4, ds.d), 0)
+    hyper = Hyperparams(lam=0.05, local_passes=passes)
+    stream = RngStream(9, round=3, purpose="local-solve")
+    solved = local_solve(cohort, ds, alpha, model, loss, hyper, stream)
+    assert list(solved.updates) == [p.client_id for p in cohort.partitions]
+    assert solved.upload_bytes == len(cohort.partitions) * upload_size(ds.d)
+    for part in cohort.partitions:
+        want = scalar_local_solve(part, ds, alpha, model, loss, hyper,
+                                  stream.scoped(client=part.client_id))
+        got = solved.updates[part.client_id]
+        for field in ("rho", "delta_phi"):
+            g, w = getattr(got, field), getattr(want, field)
+            assert g.shape == w.shape
+            assert np.linalg.norm(g - w) <= 1e-12 * np.linalg.norm(w), (part.client_id, field)
+
+
+def test_cohort_length_counts_its_rows():
+    ds, cohort = _ragged_cohort()
+    assert len(cohort) == len(ds)
+    assert len(Cohort(cohort.partitions[:2])) == 6 and len(Cohort(())) == 0
 
 
 def test_commit_arithmetic():

@@ -1,12 +1,18 @@
 """The benchmark's tracer wraps program names by owner and attribute.
 
-A refactor that renames or drops one of them would only surface in a traced
-benchmark run; this check makes it fail the test suite instead.
+A refactor that renames or drops one of them, or changes what a wrapped
+call's arguments and result report, would only surface in a traced
+benchmark run; these checks make it fail the test suite instead.
 """
 
 import inspect
 import sys
 from pathlib import Path
+
+from fedtoken import rng
+from fedtoken.config import ExperimentConfig, validate
+from fedtoken.dual import upload_size
+from fedtoken.harness import run
 
 # imported read-only: no bytecode is written next to the benchmark's files
 PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
@@ -27,3 +33,26 @@ def test_every_traced_name_resolves():
         except AttributeError:
             missing.append(f"{getattr(owner, '__name__', owner)}.{attr}")
     assert missing == []
+
+
+def test_tracer_counts_the_local_solve_work(monkeypatch):
+    # setting each name to itself lets monkeypatch restore it after install wraps it
+    for owner, attr, _ in tracer.TARGETS:
+        monkeypatch.setattr(owner, attr, inspect.getattr_static(owner, attr))
+    monkeypatch.setattr(rng.RngStream, "generator",
+                        inspect.getattr_static(rng.RngStream, "generator"))
+    recorder = tracer.Tracer()
+    recorder.install()
+    cfg = validate(ExperimentConfig(seed=3, n_samples=80, dim=3, n_clients=6,
+                                    m_fraction=0.5, rounds=2, local_passes=2,
+                                    partition_scheme="dirichlet", dirichlet_beta=0.3))
+    result = run(cfg)
+
+    parts = result.state.partitions
+    cohorts = [set(m.selected) | set(m.rejected) | set(m.flagged) for m in result.metrics]
+    assert len(cohorts) == 2 and recorder.missing == []
+    assert sum(span[0] == "dual.local_solve" for span in recorder.spans) == len(cohorts)
+    assert recorder.counts["dual.coordinate_steps"] == \
+        sum(len(parts[c]) for cohort in cohorts for c in cohort) * cfg.local_passes
+    assert recorder.counts["dual.upload_bytes"] == \
+        sum(len(cohort) for cohort in cohorts) * upload_size(cfg.dim)

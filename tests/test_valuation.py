@@ -63,13 +63,13 @@ def test_helpful_delta_beats_zero_delta():
 
 def test_converged_local_solve_produces_positive_utility():
     from fedtoken.data import ClientPartition, synth_gaussian
-    from fedtoken.dual import GlobalModel, Hyperparams, local_solve
+    from fedtoken.dual import Cohort, GlobalModel, Hyperparams, local_solve
     train = synth_gaussian(60, 3, 3.0, RngStream(2, purpose="synth-data"))
     test = synth_gaussian(60, 3, 3.0, RngStream(3, purpose="synth-data"))
     part = ClientPartition(0, tuple(range(60)))
-    upd = local_solve(part, train, np.zeros(60), GlobalModel(np.zeros(3), 0),
+    upd = local_solve(Cohort((part,)), train, np.zeros(60), GlobalModel(np.zeros(3), 0),
                       losses.LOGISTIC, Hyperparams(lam=0.05, local_passes=30),
-                      RngStream(4, purpose="local-solve"))
+                      RngStream(4, purpose="local-solve")).updates[0]
     ctx = UtilityContext(np.zeros(3), {0: upd.delta_phi, 1: np.zeros(3)},
                          test, losses.LOGISTIC)
     assert ctx.value(frozenset({0})) > ctx.value(frozenset({1})) == 0.0
