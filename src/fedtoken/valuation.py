@@ -265,12 +265,10 @@ def tmc_shapley(ctx, participants: Sequence[int], plan: PermutationPlan) -> Cont
     for c, perm in enumerate(perms, start=1):
         v_prev = ctx.value(frozenset())
         truncated = False
-        prefix: set[int] = set()
-        for n in perm:
-            prefix.add(n)
+        for k, n in enumerate(perm, start=1):
             if not truncated and abs(v_full - v_prev) < plan.eps:
                 truncated = True
-            v_m = v_prev if truncated else ctx.value(frozenset(prefix))
+            v_m = v_prev if truncated else ctx.value(frozenset(perm[:k]))
             u[n] = ((c - 1) / c) * u[n] + (v_m - v_prev) / c
             v_prev = v_m
     return ContributionVector(u=u, permutations_used=len(perms), truncation_eps=plan.eps)
