@@ -1,11 +1,11 @@
 """Per-round orchestration: cohort sampling, selection, aggregation.
 
 A round runs: sample a cohort, solve every member's local update in one
-lockstep cohort solve, value the updates (fedtoken policy only), pick at most ``quota`` of them, fold
-the chosen deltas into the global model with step weight nu, commit the
-matching dual steps, settle tokens, and append the round's block.  Clients
-that were not selected discard their step, which keeps the global model
-and the dual vector in exact correspondence.
+lockstep cohort solve, value the updates (fedtoken policy only), pick at
+most ``quota`` of them, fold the chosen deltas into the global model with
+step weight nu, commit the matching dual steps, settle tokens, and append
+the round's block.  Clients that were not selected discard their step,
+which keeps the global model and the dual vector in exact correspondence.
 
 The reduction over selected deltas runs in ascending client-id order so
 floating-point sums are bit-reproducible.
