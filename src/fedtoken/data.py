@@ -53,7 +53,7 @@ class Dataset:
 
     def take(self, indices: np.ndarray) -> "Dataset":
         indices = np.asarray(indices, dtype=np.intp)
-        return Dataset(self.features[indices].copy(), self.labels[indices].copy())
+        return Dataset(self.features[indices], self.labels[indices])
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,7 @@ def _partition_iid(n: int, n_clients: int, gen: np.random.Generator) -> list[lis
     sizes = _even_chunk_sizes(n, n_clients)
     out, pos = [], 0
     for size in sizes:
-        out.append(sorted(int(i) for i in order[pos:pos + size]))
+        out.append(np.sort(order[pos:pos + size]).tolist())
         pos += size
     return out
 

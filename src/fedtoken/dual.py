@@ -114,37 +114,36 @@ def duality_gap(alpha: np.ndarray, dataset: Dataset, loss: str, lam: float) -> f
     return primal_objective(w, dataset, loss, lam) - dual_objective(alpha, dataset, loss, lam)
 
 
-def _logit_residual(t: float, q: float, c: float) -> tuple[float, float, float]:
-    """F(t) = t + q*sigmoid(t) + c, its slope F'(t) and sigmoid(t).
-
-    The logistic coordinate step is optimal where F vanishes, with t the
-    logit of the new alpha*y.  The derivative of the coordinate objective
-    in the step r is -y * F(t).
-    """
-    if t >= 0.0:
-        s = 1.0 / (1.0 + math.exp(-t))
-    else:
-        e = math.exp(t)
-        s = e / (1.0 + e)
-    return t + q * s + c, 1.0 + q * s * (1.0 - s), s
-
-
 def _solve_logistic(alpha_i: float, y_i: float, base: float, qcoef: float) -> float:
     """Exact maximizer of the logistic one-dimensional subproblem over the step r.
 
     With s = (alpha_i + r) * y_i and t = logit(s), optimality reads
-    F(t) = t + q*sigmoid(t) + c = 0 with c = y*base - q*alpha*y.  Since
-    1 <= F' <= 1 + q/4, the root lies in [-c - q, -c].  Newton starts from
-    one Newton step off t = 0, stays inside the shrinking bracket, and ends
-    with a closed-form last step once |F| is small.
+    F(t) = t + q*sigmoid(t) + c = 0 with c = y*base - q*alpha*y; the
+    derivative of the coordinate objective in r is -y * F(t).  Since
+    1 <= F' = 1 + q*s*(1 - s) <= 1 + q/4, the root lies in [-c - q, -c].
+    Newton starts from one Newton step off t = 0, stays inside the
+    shrinking bracket, and ends with a closed-form last step once |F| is
+    small.  The clamps are comparisons, not ``min``/``max`` calls: this runs
+    once per logistic coordinate step.
     """
     if qcoef == 0.0 and base == 0.0:
         return 0.5 * y_i - alpha_i  # entropy-only optimum at s = 1/2
+    exp = math.exp
     c = y_i * base - qcoef * alpha_i * y_i
     lo, hi = -c - qcoef, -c
-    t = min(max(-(c + 0.5 * qcoef) / (1.0 + 0.25 * qcoef), lo), hi)
+    t = -(c + 0.5 * qcoef) / (1.0 + 0.25 * qcoef)
+    if t < lo:
+        t = lo
+    if t > hi:
+        t = hi
     for _ in range(NEWTON_MAX_ITER):
-        f, slope, s = _logit_residual(t, qcoef, c)
+        if t >= 0.0:
+            s = 1.0 / (1.0 + exp(-t))
+        else:
+            e = exp(t)
+            s = e / (1.0 + e)
+        f = t + qcoef * s + c
+        slope = 1.0 + qcoef * s * (1.0 - s)
         if abs(f) <= NEWTON_TOL:
             # the last Newton step, taken on s = sigmoid(t) to first order
             s -= s * (1.0 - s) * f / slope
@@ -157,8 +156,14 @@ def _solve_logistic(alpha_i: float, y_i: float, base: float, qcoef: float) -> fl
         t = t_new if lo <= t_new <= hi else 0.5 * (lo + hi)
     # s in [0, 1] up to rounding: clip the step into the feasible interval
     if y_i > 0.0:
-        return min(max(s - alpha_i, -alpha_i), 1.0 - alpha_i)
-    return min(max(-s - alpha_i, -1.0 - alpha_i), -alpha_i)
+        r, r_lo, r_hi = s - alpha_i, -alpha_i, 1.0 - alpha_i
+    else:
+        r, r_lo, r_hi = -s - alpha_i, -1.0 - alpha_i, -alpha_i
+    if r < r_lo:
+        r = r_lo
+    if r > r_hi:
+        r = r_hi
+    return r
 
 
 def local_solve(part: Cohort, dataset: Dataset, alpha: np.ndarray,

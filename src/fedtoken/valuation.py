@@ -8,7 +8,13 @@ scan once the running prefix value is within ``eps`` of the full-coalition
 value.
 
 Subset values are cached per round so overlapping prefix scans share work;
-``queries`` counts every lookup and ``evaluations`` only cache misses.
+``queries`` counts every lookup and ``evaluations`` only cache misses.  The
+cache keys a subset by an int mask with one bit per client, so a step along
+a permutation prefix sets one more bit, and a mask is the same int whatever
+order its members were added in.  A round's permutations come from one
+bounded-integer draw on the round's stream, which gives the same swap
+indices, and leaves the stream in the same state, as one scalar draw per
+swap.
 
 A round's context works in test-score space.  One GEMM gives each client's
 scores on the test set, ``S = deltas @ X_test.T`` (m x n_test), and every
@@ -94,24 +100,47 @@ def all_permutations_plan(participants: Sequence[int], eps: float = 0.0) -> Perm
 
 
 class CachedUtility:
-    """Per-round cache of subset values; subclasses score a miss in ``_evaluate``."""
+    """Per-round cache of subset values; subclasses score a miss in ``_evaluate``.
 
-    def __init__(self):
+    A subset is keyed by an int mask: client ``ids[i]`` owns bit ``1 << i``.
+    ``value`` takes a mask or any iterable of ids, and both reach the same
+    cache entry.  An id or mask bit the utility does not know is a
+    ``LookupError``.
+    """
+
+    def __init__(self, ids=()):
         self.queries = 0
         self.evaluations = 0
-        self._cache: dict[frozenset[int], float] = {}
+        self._cache: dict[int, float] = {}
+        self._bits: dict[int, int] = {c: 1 << i for i, c in enumerate(ids)}
+
+    def bit(self, client) -> int:
+        """The mask bit of one client id."""
+        try:
+            return self._bits[int(client)]
+        except KeyError:
+            raise LookupError(f"unknown client id {client}") from None
+
+    def mask(self, subset) -> int:
+        """The mask of an iterable of client ids."""
+        key = 0
+        for c in subset:
+            key |= self.bit(c)
+        return key
 
     def value(self, subset) -> float:
-        if not isinstance(subset, frozenset):
-            subset = frozenset(map(int, subset))
+        key = subset if isinstance(subset, int) else self.mask(subset)
         self.queries += 1
-        cached = self._cache.get(subset)
+        cached = self._cache.get(key)
         if cached is None:
-            cached = self._cache[subset] = self._evaluate(subset)
+            # a negative mask has infinitely many bits set
+            if key >> len(self._bits):
+                raise LookupError(f"mask {key:#x} names an unknown client")
+            cached = self._cache[key] = self._evaluate(key)
             self.evaluations += 1
         return cached
 
-    def _evaluate(self, subset: frozenset[int]) -> float:
+    def _evaluate(self, key: int) -> float:
         raise NotImplementedError
 
 
@@ -124,71 +153,81 @@ class UtilityContext(CachedUtility):
     test loss; with the default ``v_ref`` (test loss of the round-start
     model) the empty coalition scores exactly zero.
 
-    The candidate's test scores are ``s0 + scale * (hi_sum + lo_sum)``: the
-    round-start scores plus the subset's sums over the two grid-snapped
-    parts of the per-client score matrix (see the module docstring).  A
-    miss moves the running sums from the last scored subset, or restarts
-    them from zero when that adds fewer rows, and makes one
-    ``losses.mean_loss`` call on the n_test x 3 columns ``[s0, hi_sum,
-    lo_sum]`` with weights ``(1, scale, scale)``.
+    Clients own mask bits in sorted-id order.  The candidate's test scores
+    are ``s0 + scale * (hi_sum + lo_sum)``: the round-start scores plus the
+    subset's sums over the two grid-snapped parts of the per-client score
+    matrix (see the module docstring).  A miss moves the running sums from
+    the last scored mask, adding and subtracting the rows of the bits set
+    in ``key ^ last``, or restarts them from zero when that adds fewer
+    rows.  It then makes one ``losses.mean_loss`` call on the n_test x 3
+    columns ``[s0, hi_sum, lo_sum]`` with weights ``(1, scale, scale)``,
+    kept in one preallocated buffer.
     """
 
     def __init__(self, phi_t: np.ndarray, deltas: dict[int, np.ndarray],
                  test_set: Dataset, loss: str, v_ref: float | None = None,
                  weighting: str = MEAN_WEIGHTING, nu: float = 1.0):
-        super().__init__()
+        ids = sorted(map(int, deltas))
+        super().__init__(ids)
         if weighting not in WEIGHTINGS:
             raise ValueError(f"unknown weighting {weighting!r}")
         if len(test_set) == 0:
             raise ValueError("test set must be non-empty")
         losses.check_kind(loss)
         self.phi_t = np.asarray(phi_t, dtype=np.float64)
-        ids = sorted(map(int, deltas))
         stacked = np.array([deltas[c] for c in ids], dtype=np.float64
                            ).reshape(len(ids), self.phi_t.size)
         features = test_set.features
         parts = _split_on_grids(stacked, features)
-        self._parts = {c: parts[:, i] for i, c in enumerate(ids)}
+        self._parts = list(parts)  # by bit position
         # the round-start scores, then the subset's running hi and lo sums,
         # which F order lays out as one contiguous (2, n_test) block
         self._columns = np.zeros((len(test_set), 3), order="F")
         self._columns[:, 0] = features @ self.phi_t
         self._sum = self._columns.T[1:]
-        self._last: frozenset[int] = frozenset()
+        self._last = 0
+        self._weights = np.ones(3)
         self.test_set, self.loss, self.weighting, self.nu = test_set, loss, weighting, nu
-        self.v_ref = float(self._test_loss(frozenset()) if v_ref is None else v_ref)
+        self.v_ref = float(self._test_loss(0) if v_ref is None else v_ref)
 
-    def _test_loss(self, subset: frozenset[int]) -> float:
-        add, drop = subset - self._last, self._last - subset
-        restart = len(add) + len(drop) > len(subset)
-        if restart:
-            add, drop = subset, ()
-        try:
-            added = [self._parts[c] for c in add]
-        except KeyError as err:
-            raise LookupError(f"unknown client id {err.args[0]}") from None
-        if restart:
+    def _test_loss(self, key: int) -> float:
+        changed = key ^ self._last
+        size = key.bit_count()
+        if changed.bit_count() > size:
             self._sum.fill(0.0)
-        for part in added:
-            np.add(self._sum, part, out=self._sum)
-        for c in drop:
-            np.subtract(self._sum, self._parts[c], out=self._sum)
-        self._last = subset
-        scale = self.nu if self.weighting == SUM_WEIGHTING else 1.0 / max(len(subset), 1)
-        return losses.mean_loss(self.loss, np.array([1.0, scale, scale]), self._columns,
-                                self.test_set.labels)
+            add, drop = key, 0
+        else:
+            add, drop = changed & key, changed & self._last
+        total, parts = self._sum, self._parts
+        while add:
+            low = add & -add
+            np.add(total, parts[low.bit_length() - 1], out=total)
+            add ^= low
+        while drop:
+            low = drop & -drop
+            np.subtract(total, parts[low.bit_length() - 1], out=total)
+            drop ^= low
+        self._last = key
+        weights = self._weights
+        weights[1] = weights[2] = self.nu if self.weighting == SUM_WEIGHTING \
+            else 1.0 / max(size, 1)
+        return losses.mean_loss(self.loss, weights, self._columns, self.test_set.labels)
 
-    def _evaluate(self, subset: frozenset[int]) -> float:
-        return self.v_ref - self._test_loss(subset)
+    def _evaluate(self, key: int) -> float:
+        return self.v_ref - self._test_loss(key)
 
 
 def _split_on_grids(deltas: np.ndarray, features: np.ndarray) -> np.ndarray:
-    """Test scores of each delta as (2, m, n_test) parts, each snapped to its own grid."""
-    parts = np.empty((2, deltas.shape[0], features.shape[0]))
-    hi, lo = parts
-    np.matmul(deltas, features.T, out=lo)
-    _snap(lo, hi)
-    np.subtract(lo, hi, out=lo)
+    """Test scores of each delta as (m, 2, n_test) parts, each snapped to its own grid.
+
+    Each client's two parts are one contiguous block, so moving the running
+    sums by a client is one contiguous add.
+    """
+    scores = deltas @ features.T
+    parts = np.empty((deltas.shape[0], 2, features.shape[0]))
+    hi, lo = parts[:, 0], parts[:, 1]
+    _snap(scores, hi)
+    np.subtract(scores, hi, out=lo)
     _snap(lo, lo)
     return parts
 
@@ -206,14 +245,27 @@ def _snap(a: np.ndarray, out: np.ndarray) -> None:
 
 
 class GameUtility(CachedUtility):
-    """Utility backed by an arbitrary set function; same counting interface."""
+    """Utility backed by an arbitrary set function; same counting interface.
+
+    An id gets the next free mask bit the first time it is seen, and a miss
+    decodes its mask back into the frozenset of ids that ``fn`` scores.
+    """
 
     def __init__(self, fn: Callable[[frozenset[int]], float]):
         super().__init__()
         self._fn = fn
+        self._ids: list[int] = []  # by bit position
 
-    def _evaluate(self, subset: frozenset[int]) -> float:
-        return float(self._fn(subset))
+    def bit(self, client) -> int:
+        client = int(client)
+        bit = self._bits.get(client)
+        if bit is None:
+            bit = self._bits[client] = 1 << len(self._ids)
+            self._ids.append(client)
+        return bit
+
+    def _evaluate(self, key: int) -> float:
+        return float(self._fn(frozenset(c for i, c in enumerate(self._ids) if key >> i & 1)))
 
 
 def exact_shapley(ctx, participants: Sequence[int]) -> ContributionVector:
@@ -236,12 +288,26 @@ def exact_shapley(ctx, participants: Sequence[int]) -> ContributionVector:
     return ContributionVector(u=u, permutations_used=fact(m), truncation_eps=0.0)
 
 
-def _fisher_yates(gen: np.random.Generator, items: Sequence[int]) -> tuple[int, ...]:
-    arr = list(items)
-    for i in range(len(arr) - 1, 0, -1):
-        j = int(gen.integers(0, i + 1))
-        arr[i], arr[j] = arr[j], arr[i]
-    return tuple(arr)
+def _fisher_yates(gen: np.random.Generator, items: Sequence[int],
+                  count: int) -> list[tuple[int, ...]]:
+    """``count`` Fisher-Yates shuffles of ``items``, with one draw for every swap index.
+
+    Swap ``i`` (from the last position down to 1) takes an index below
+    ``i + 1``; the array bound draws them in the order, and with the values,
+    that one scalar ``gen.integers(0, i + 1)`` per swap would.
+    """
+    n = len(items)
+    if n < 2:
+        return [tuple(items)] * count
+    picks = iter(gen.integers(0, np.tile(np.arange(n, 1, -1), count)).tolist())
+    perms = []
+    for _ in range(count):
+        arr = list(items)
+        for i in range(n - 1, 0, -1):
+            j = next(picks)
+            arr[i], arr[j] = arr[j], arr[i]
+        perms.append(tuple(arr))
+    return perms
 
 
 def tmc_shapley(ctx, participants: Sequence[int], plan: PermutationPlan) -> ContributionVector:
@@ -258,17 +324,23 @@ def tmc_shapley(ctx, participants: Sequence[int], plan: PermutationPlan) -> Cont
     if plan.permutations is not None:
         perms = plan.permutations
     else:
-        gen = plan.stream.generator()
-        perms = tuple(_fisher_yates(gen, players) for _ in range(plan.delta))
-    v_full = ctx.value(frozenset(players))
+        perms = _fisher_yates(plan.stream.generator(), players, plan.delta)
+    # an id of an explicit permutation outside the participants is a KeyError
+    bit = {p: ctx.bit(p) for p in players}
+    v_full = ctx.value(ctx.mask(players))
     u = {p: 0.0 for p in players}
     for c, perm in enumerate(perms, start=1):
-        v_prev = ctx.value(frozenset())
+        v_prev = ctx.value(0)
+        key = 0
         truncated = False
-        for k, n in enumerate(perm, start=1):
+        for n in perm:
             if not truncated and abs(v_full - v_prev) < plan.eps:
                 truncated = True
-            v_m = v_prev if truncated else ctx.value(frozenset(perm[:k]))
+            if truncated:
+                v_m = v_prev
+            else:
+                key |= bit[n]
+                v_m = ctx.value(key)
             u[n] = ((c - 1) / c) * u[n] + (v_m - v_prev) / c
             v_prev = v_m
     return ContributionVector(u=u, permutations_used=len(perms), truncation_eps=plan.eps)

@@ -4,10 +4,12 @@ Each works on the array API: a dense ``alpha`` with one dual coordinate per
 row of the dataset, and a step ``rho`` aligned with a partition's rows.
 """
 
+import math
+
 import numpy as np
 
 from fedtoken import losses
-from fedtoken.dual import LocalUpdate, _solve_logistic
+from fedtoken.dual import NEWTON_MAX_ITER, NEWTON_TOL, LocalUpdate, _solve_logistic
 
 
 def is_feasible(kind: str, alpha: np.ndarray, labels: np.ndarray,
@@ -21,6 +23,58 @@ def coordinate_value(loss: str, alpha_i: float, y_i: float, r: float,
                      base: float, qcoef: float) -> float:
     """One-dimensional subproblem objective (scaled by D, constants dropped)."""
     return float(losses.conjugate(loss, alpha_i + r, y_i)) - base * r - 0.5 * qcoef * r * r
+
+
+def logit_residual(t: float, q: float, c: float) -> tuple[float, float, float]:
+    """F(t) = t + q*sigmoid(t) + c, its slope F'(t) and sigmoid(t).
+
+    The logistic coordinate step is optimal where F vanishes, with t the
+    logit of the new alpha*y.  The derivative of the coordinate objective
+    in the step r is -y * F(t).
+    """
+    if t >= 0.0:
+        s = 1.0 / (1.0 + math.exp(-t))
+    else:
+        e = math.exp(t)
+        s = e / (1.0 + e)
+    return t + q * s + c, 1.0 + q * s * (1.0 - s), s
+
+
+def reference_solve_logistic(alpha_i: float, y_i: float, base: float,
+                             qcoef: float) -> float:
+    """``dual._solve_logistic`` written with ``logit_residual`` and ``min``/``max``.
+
+    The plain form of the same float operations, in the same order, that
+    the program's solver inlines.
+    """
+    if qcoef == 0.0 and base == 0.0:
+        return 0.5 * y_i - alpha_i
+    c = y_i * base - qcoef * alpha_i * y_i
+    lo, hi = -c - qcoef, -c
+    t = min(max(-(c + 0.5 * qcoef) / (1.0 + 0.25 * qcoef), lo), hi)
+    for _ in range(NEWTON_MAX_ITER):
+        f, slope, s = logit_residual(t, qcoef, c)
+        if abs(f) <= NEWTON_TOL:
+            s -= s * (1.0 - s) * f / slope
+            break
+        if f > 0.0:
+            hi = t
+        else:
+            lo = t
+        t_new = t - f / slope
+        t = t_new if lo <= t_new <= hi else 0.5 * (lo + hi)
+    if y_i > 0.0:
+        return min(max(s - alpha_i, -alpha_i), 1.0 - alpha_i)
+    return min(max(-s - alpha_i, -1.0 - alpha_i), -alpha_i)
+
+
+def scalar_fisher_yates(gen: np.random.Generator, items) -> tuple[int, ...]:
+    """One Fisher-Yates shuffle of ``items`` with one scalar draw per swap."""
+    arr = list(items)
+    for i in range(len(arr) - 1, 0, -1):
+        j = int(gen.integers(0, i + 1))
+        arr[i], arr[j] = arr[j], arr[i]
+    return tuple(arr)
 
 
 def local_gain(part, dataset, alpha: np.ndarray, model, loss: str, lam: float,

@@ -6,12 +6,12 @@ import pytest
 from fedtoken import losses
 from fedtoken.data import (ClientPartition, Dataset, PartitionScheme, partition,
                            synth_gaussian)
-from fedtoken.dual import (Cohort, GlobalModel, Hyperparams, _logit_residual,
-                           _solve_logistic, commit, dual_objective, duality_gap,
-                           load_model, local_solve, phi_of_alpha, primal_objective,
-                           save_model, upload_size)
+from fedtoken.dual import (Cohort, GlobalModel, Hyperparams, _solve_logistic, commit,
+                           dual_objective, duality_gap, load_model, local_solve,
+                           phi_of_alpha, primal_objective, save_model, upload_size)
 from fedtoken.rng import RngStream
-from oracles import coordinate_value, is_feasible, local_gain, scalar_local_solve
+from oracles import (coordinate_value, is_feasible, local_gain, logit_residual,
+                     reference_solve_logistic, scalar_local_solve)
 
 
 def solve_one(part, *args):
@@ -102,7 +102,7 @@ def test_logistic_scalar_derivative_matches_finite_difference():
         # the derivative in r is -y * F(t) at t = logit((alpha + r) * y)
         s = (alpha + r) * y
         c = y * base - qcoef * alpha * y
-        deriv = -y * _logit_residual(math.log(s) - math.log1p(-s), qcoef, c)[0]
+        deriv = -y * logit_residual(math.log(s) - math.log1p(-s), qcoef, c)[0]
         up = coordinate_value(losses.LOGISTIC, alpha, y, r + h, base, qcoef)
         down = coordinate_value(losses.LOGISTIC, alpha, y, r - h, base, qcoef)
         fd = (up - down) / (2 * h)
@@ -283,11 +283,11 @@ def _bisect_logit_root(alpha, y, base, qcoef):
     lo, hi = -c - qcoef, -c
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if _logit_residual(mid, qcoef, c)[0] > 0.0:
+        if logit_residual(mid, qcoef, c)[0] > 0.0:
             hi = mid
         else:
             lo = mid
-    return _logit_residual(0.5 * (lo + hi), qcoef, c)[2] * y - alpha
+    return logit_residual(0.5 * (lo + hi), qcoef, c)[2] * y - alpha
 
 
 def test_logistic_coordinate_solve_matches_bisection():
@@ -301,3 +301,28 @@ def test_logistic_coordinate_solve_matches_bisection():
         assert -1e-15 <= (alpha + r) * y <= 1.0 + 1e-15
         assert r == pytest.approx(_bisect_logit_root(alpha, y, base, qcoef),
                                   rel=1e-12, abs=1e-13)
+
+
+def test_logistic_coordinate_solve_is_bitwise_the_reference_solver():
+    gen = np.random.Generator(np.random.PCG64(41))
+    cases = {"zero": 0, "tiny": 0, "bound": 0}
+    for _ in range(10_000):
+        y = 1.0 if gen.random() < 0.5 else -1.0
+        pick = gen.random()
+        # alpha at either end of its interval, or inside it
+        alpha = 0.0 if pick < 0.15 else y if pick < 0.3 else float(gen.uniform(0.0, 1.0)) * y
+        cases["bound"] += pick < 0.3
+        pick = gen.random()
+        if pick < 0.1:
+            qcoef, base = 0.0, 0.0
+            cases["zero"] += 1
+        else:
+            qcoef = 10.0 ** float(gen.uniform(-300, -8)) if pick < 0.3 else \
+                float(gen.uniform(0.0, 50.0))
+            cases["tiny"] += pick < 0.3
+            # |c| = |y * base - q * alpha * y| reaches 1e3
+            base = float(gen.normal()) * 10.0 ** float(gen.uniform(-3, 3))
+        got = _solve_logistic(alpha, y, base, qcoef)
+        want = reference_solve_logistic(alpha, y, base, qcoef)
+        assert got.hex() == want.hex(), (alpha, y, base, qcoef)
+    assert min(cases.values()) > 500, cases

@@ -35,7 +35,7 @@ def test_every_traced_name_resolves():
     assert missing == []
 
 
-def test_tracer_counts_the_local_solve_work(monkeypatch):
+def _installed_tracer(monkeypatch):
     # setting each name to itself lets monkeypatch restore it after install wraps it
     for owner, attr, _ in tracer.TARGETS:
         monkeypatch.setattr(owner, attr, inspect.getattr_static(owner, attr))
@@ -43,6 +43,11 @@ def test_tracer_counts_the_local_solve_work(monkeypatch):
                         inspect.getattr_static(rng.RngStream, "generator"))
     recorder = tracer.Tracer()
     recorder.install()
+    return recorder
+
+
+def test_tracer_counts_the_local_solve_work(monkeypatch):
+    recorder = _installed_tracer(monkeypatch)
     cfg = validate(ExperimentConfig(seed=3, n_samples=80, dim=3, n_clients=6,
                                     m_fraction=0.5, rounds=2, local_passes=2,
                                     partition_scheme="dirichlet", dirichlet_beta=0.3))
@@ -56,3 +61,25 @@ def test_tracer_counts_the_local_solve_work(monkeypatch):
         sum(len(parts[c]) for cohort in cohorts for c in cohort) * cfg.local_passes
     assert recorder.counts["dual.upload_bytes"] == \
         sum(len(cohort) for cohort in cohorts) * upload_size(cfg.dim)
+
+
+def test_tracer_counts_the_valuation_work(monkeypatch):
+    # every TMC query is a UtilityContext.value call, and every cache miss
+    # makes exactly one mean_loss call inside it
+    recorder = _installed_tracer(monkeypatch)
+    cfg = validate(ExperimentConfig(seed=5, n_samples=120, dim=4, n_clients=8,
+                                    m_fraction=0.75, rounds=2, aggregation="fedtoken",
+                                    delta=6, eps=0.01))
+    result = run(cfg)
+
+    spans = recorder.spans
+    value_spans = [i for i, span in enumerate(spans)
+                   if span[0] == "valuation.UtilityContext.value"]
+    in_value = set(value_spans)
+    kernel_calls = sum(span[0] == tracer.MEAN_LOSS and span[3] in in_value for span in spans)
+    queries = sum(m.utility_queries for m in result.metrics)
+    evaluations = sum(m.utility_evaluations for m in result.metrics)
+    assert len(result.metrics) == 2 and recorder.missing == []
+    assert queries > evaluations > 0
+    assert len(value_spans) == queries
+    assert kernel_calls == evaluations

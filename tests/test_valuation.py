@@ -8,9 +8,10 @@ from fedtoken import losses, valuation
 from fedtoken.data import Dataset
 from fedtoken.rng import RngStream
 from fedtoken.valuation import (GameUtility, OracleSizeError,
-                                PermutationPlan, UtilityContext,
+                                PermutationPlan, UtilityContext, _fisher_yates,
                                 all_permutations_plan, efficiency_residual,
                                 exact_shapley, tmc_shapley)
+from oracles import scalar_fisher_yates
 
 
 def _test_set(seed=0, n=40, d=3):
@@ -79,6 +80,57 @@ def test_unknown_client_is_a_lookup_error():
     ctx = _model_ctx({0: np.zeros(3)})
     with pytest.raises(LookupError):
         ctx.value(frozenset({7}))
+
+
+def test_unknown_id_in_explicit_permutations_is_a_lookup_error():
+    ctx = _model_ctx({0: np.zeros(3), 1: np.zeros(3)})
+    plan = PermutationPlan(delta=1, eps=0.0, permutations=((0, 7, 1),))
+    with pytest.raises(LookupError):
+        tmc_shapley(ctx, (0, 1), plan)
+
+
+def test_mask_beyond_the_known_clients_is_a_lookup_error():
+    # five clients own bits 0 to 4; a failed query leaves the running sums intact
+    ctx, fresh = (_model_ctx(_five_client_deltas()) for _ in range(2))
+    ctx.value(0b11)
+    for key in (1 << 5, 0b100011, -1):
+        with pytest.raises(LookupError):
+            ctx.value(key)
+    for key in (0b111, 0b1):
+        assert ctx.value(key).hex() == fresh.value(key).hex()
+
+
+@pytest.mark.parametrize("make", [lambda: _model_ctx(_five_client_deltas()),
+                                  lambda: GameUtility(lambda s: float(sum(s)) ** 0.5)],
+                         ids=["context", "game"])
+def test_mask_and_id_queries_share_one_cache_entry(make):
+    ctx = make()
+    ids = (9, 25, 33)
+    by_ids = ctx.value(frozenset(ids))
+    assert (ctx.queries, ctx.evaluations) == (1, 1)
+    key = ctx.mask(ids)
+    assert key == ctx.bit(9) | ctx.bit(25) | ctx.bit(33) and key.bit_count() == 3
+    by_mask = ctx.value(key)
+    assert by_mask.hex() == by_ids.hex()
+    assert (ctx.queries, ctx.evaluations) == (2, 1)
+    # any iterable of ids, in any order and with repeats, is the same key
+    assert ctx.value([33, 9, 25, 9]) == by_ids
+    assert (ctx.queries, ctx.evaluations) == (3, 1)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 40, 100])
+@pytest.mark.parametrize("count", [1, 32])
+def test_batched_permutation_draw_matches_one_draw_per_swap(n, count):
+    # pins the numpy behaviour the batched draw relies on: an array of bounds
+    # yields the indices, and leaves the stream, as scalar draws do
+    items = tuple(range(100, 100 + n))
+    for seed in range(50):
+        gen_a = np.random.Generator(np.random.PCG64(seed))
+        gen_b = np.random.Generator(np.random.PCG64(seed))
+        batched = _fisher_yates(gen_a, items, count)
+        scalar = [scalar_fisher_yates(gen_b, items) for _ in range(count)]
+        assert batched == scalar, (seed, n, count)
+        assert gen_a.bit_generator.state == gen_b.bit_generator.state, (seed, n, count)
 
 
 def _five_client_deltas(seed=21):
