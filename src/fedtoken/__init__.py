@@ -20,8 +20,7 @@ from .scheduler import (RoundMetrics, RoundPlan, SelectionResult, aggregate,
                         round_step, sample_cohort, select_top_q)
 from .tokenomics import (AllocationPolicy, Budget, RoundAllocation, allocate_ep,
                          allocate_pf, participation_rewards, settle_round)
-from .valuation import (ContributionVector, GameUtility, OracleSizeError,
-                        PermutationPlan, UtilityContext, all_permutations_plan,
-                        efficiency_residual, exact_shapley, tmc_shapley)
+from .valuation import (ContributionVector, UtilityContext, draw_permutations,
+                        efficiency_residual, tmc_shapley)
 
 __version__ = "0.1.0"

@@ -254,7 +254,12 @@ def load_csv(path: str | Path, header: bool = False) -> Dataset:
         cells = line.split(",")
         if len(cells) < 2:
             raise ValueError(f"{path}:{lineno}: expected label plus features")
-        rows.append([float(c) for c in cells])
+        try:
+            rows.append([float(c) for c in cells])
+        except ValueError as err:
+            raise ValueError(f"{path}:{lineno}: {err}") from None
+    if not rows:
+        raise ValueError(f"{path}: no rows")
     widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise ValueError(f"{path}: rows have inconsistent column counts")

@@ -47,7 +47,11 @@ class RunResult:
 
 def _load_dataset(cfg: ExperimentConfig) -> Dataset:
     if cfg.data_source == "csv":
-        return load_csv(cfg.csv_path, header=cfg.csv_header)
+        try:
+            return load_csv(cfg.csv_path, header=cfg.csv_header)
+        except ValueError as err:
+            # a missing or unreadable file is an OSError and stays a runtime error
+            raise ConfigError(f"data.csv_path: {err}") from err
     stream = RngStream(cfg.seed, purpose="synth-data")
     return synth_gaussian(cfg.n_samples, cfg.dim, cfg.separation, stream)
 
@@ -178,6 +182,8 @@ def _write_summary(out: Path, summary: dict) -> None:
 def _apply_axis(cfg: ExperimentConfig, axis: str, value: float) -> ExperimentConfig:
     if axis == "quota_ratio":
         return with_overrides(cfg, quota=None, quota_ratio=float(value))
+    if axis in ("delta", "budget") and not float(value).is_integer():
+        raise ConfigError(f"sweep axis {axis}: {value!r} is not an integer")
     if axis == "delta":
         return with_overrides(cfg, delta=int(value))
     if axis == "budget":

@@ -25,7 +25,7 @@ from .ledger import Chain
 from .losses import mean_loss
 from .rng import RngStream
 from .tokenomics import AllocationPolicy, Budget
-from .valuation import (ContributionVector, PermutationPlan, UtilityContext,
+from .valuation import (ContributionVector, UtilityContext, draw_permutations,
                         efficiency_residual, tmc_shapley)
 
 FEDTOKEN = "fedtoken"
@@ -164,10 +164,9 @@ def _test_metrics(model: np.ndarray, test: Dataset, loss: str) -> tuple[float, f
 def _select_fedtoken(state, cfg, plan, deltas, root):
     ctx = UtilityContext(state.model.phi, deltas, state.test, cfg.loss,
                          weighting=cfg.weighting, nu=_resolve_nu(cfg, plan.quota))
-    perm_plan = PermutationPlan(delta=cfg.delta, eps=cfg.eps,
-                                stream=root.scoped(round=plan.round, client=0,
-                                                   purpose="shapley-perms"))
-    u = tmc_shapley(ctx, plan.cohort, perm_plan)
+    gen = root.scoped(round=plan.round, client=0, purpose="shapley-perms").generator()
+    u = tmc_shapley(ctx, plan.cohort, draw_permutations(gen, plan.cohort, cfg.delta),
+                    cfg.eps)
     return select_top_q(u, plan.quota), u.u, efficiency_residual(u, ctx, plan.cohort), ctx
 
 

@@ -1,20 +1,18 @@
-"""Utility scoring of update subsets and Shapley contribution estimates.
+"""Utility scoring of update subsets and truncated Monte-Carlo Shapley estimates.
 
 A round's utility function scores a coalition of client updates by the
 test-set improvement of the candidate model built from them.  Contribution
-vectors come from either exact subset enumeration (small games only) or
-the truncated Monte-Carlo permutation estimator, which freezes a prefix
-scan once the running prefix value is within ``eps`` of the full-coalition
-value.
+vectors come from the truncated Monte-Carlo permutation estimator, which
+freezes a prefix scan once the running prefix value is within ``eps`` of the
+full-coalition value.  The caller supplies the permutations, drawn for a
+round by ``draw_permutations``.  Exact subset enumeration, the reference the
+estimator is tested against, lives in ``tests/oracles.py``.
 
 Subset values are cached per round so overlapping prefix scans share work;
 ``queries`` counts every lookup and ``evaluations`` only cache misses.  The
 cache keys a subset by an int mask with one bit per client, so a step along
 a permutation prefix sets one more bit, and a mask is the same int whatever
-order its members were added in.  A round's permutations come from one
-bounded-integer draw on the round's stream, which gives the same swap
-indices, and leaves the stream in the same state, as one scalar draw per
-swap.
+order its members were added in.
 
 A round's context works in test-score space.  One GEMM gives each client's
 scores on the test set, ``S = deltas @ X_test.T`` (m x n_test), and every
@@ -47,72 +45,74 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, permutations as iter_permutations
-from typing import Callable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import losses
 from .data import Dataset
-from .rng import RngStream
 
 MEAN_WEIGHTING = "mean"
 SUM_WEIGHTING = "sum"
 WEIGHTINGS = (MEAN_WEIGHTING, SUM_WEIGHTING)
-
-EXACT_SHAPLEY_MAX_PLAYERS = 10
-
-
-class OracleSizeError(ValueError):
-    """Exact enumeration requested for too many participants."""
 
 
 @dataclass(frozen=True)
 class ContributionVector:
     u: dict[int, float]
     permutations_used: int
-    truncation_eps: float
 
 
-@dataclass(frozen=True)
-class PermutationPlan:
-    """How to draw permutations: sampled from a stream, or an explicit list."""
-    delta: int
-    eps: float
-    stream: RngStream | None = None
-    permutations: tuple[tuple[int, ...], ...] | None = None
+class UtilityContext:
+    """Round-scoped utility: candidate models from client deltas, scored on test data.
 
-    def __post_init__(self):
-        if self.permutations is not None:
-            object.__setattr__(self, "delta", len(self.permutations))
-        if self.delta < 1:
-            raise ValueError("need at least one permutation")
-        if self.eps < 0:
-            raise ValueError("eps must be >= 0")
-        if self.permutations is None and self.stream is None:
-            raise ValueError("either a stream or explicit permutations is required")
+    The candidate for a subset S is the round-start model plus the mean of
+    the subset's deltas (``mean`` weighting) or ``nu`` times their sum
+    (``sum`` weighting).  The returned score is ``v_ref``, the test loss of
+    the round-start model, minus the candidate's mean test loss, so the
+    empty coalition scores exactly zero.
 
+    A subset is keyed by an int mask: the i-th client in sorted-id order owns
+    bit ``1 << i``.  ``value`` takes a mask or any iterable of ids, and both
+    reach the same cache entry.  An id or mask bit the context does not know
+    is a ``LookupError``.
 
-def all_permutations_plan(participants: Sequence[int], eps: float = 0.0) -> PermutationPlan:
-    """Plan enumerating every ordering of the participants."""
-    perms = tuple(iter_permutations(tuple(participants)))
-    return PermutationPlan(delta=len(perms), eps=eps, permutations=perms)
-
-
-class CachedUtility:
-    """Per-round cache of subset values; subclasses score a miss in ``_evaluate``.
-
-    A subset is keyed by an int mask: client ``ids[i]`` owns bit ``1 << i``.
-    ``value`` takes a mask or any iterable of ids, and both reach the same
-    cache entry.  An id or mask bit the utility does not know is a
-    ``LookupError``.
+    The candidate's test scores are ``s0 + scale * (hi_sum + lo_sum)``: the
+    round-start scores plus the subset's sums over the two grid-snapped
+    parts of the per-client score matrix (see the module docstring).  A miss
+    moves the running sums from the last scored mask by the rows of the bits
+    set in ``key ^ last``, or restarts them from zero when that adds fewer
+    rows.  It then makes one ``losses.mean_loss`` call on the n_test x 3
+    columns ``[s0, hi_sum, lo_sum]`` with weights ``(1, scale, scale)``.
     """
 
-    def __init__(self, ids=()):
-        self.queries = 0
-        self.evaluations = 0
+    def __init__(self, phi_t: np.ndarray, deltas: dict[int, np.ndarray],
+                 test_set: Dataset, loss: str, weighting: str = MEAN_WEIGHTING,
+                 nu: float = 1.0):
+        ids = sorted(map(int, deltas))
+        self.queries = self.evaluations = 0
         self._cache: dict[int, float] = {}
         self._bits: dict[int, int] = {c: 1 << i for i, c in enumerate(ids)}
+        if weighting not in WEIGHTINGS:
+            raise ValueError(f"unknown weighting {weighting!r}")
+        if len(test_set) == 0:
+            raise ValueError("test set must be non-empty")
+        losses.check_kind(loss)
+        self.phi_t = np.asarray(phi_t, dtype=np.float64)
+        stacked = np.array([deltas[c] for c in ids], dtype=np.float64
+                           ).reshape(len(ids), self.phi_t.size)
+        features = test_set.features
+        parts = _split_on_grids(stacked, features)
+        self._parts = list(parts)  # by bit position
+        # the round-start scores, then the subset's running hi and lo sums,
+        # which F order lays out as one contiguous (2, n_test) block
+        self._columns = np.zeros((len(test_set), 3), order="F")
+        self._columns[:, 0] = features @ self.phi_t
+        self._sum = self._columns.T[1:]
+        self._last = 0
+        self._weights = np.ones(3)
+        self.test_set, self.loss, self.weighting, self.nu = test_set, loss, weighting, nu
+        self.v_ref = self._test_loss(0)
 
     def bit(self, client) -> int:
         """The mask bit of one client id."""
@@ -136,59 +136,9 @@ class CachedUtility:
             # a negative mask has infinitely many bits set
             if key >> len(self._bits):
                 raise LookupError(f"mask {key:#x} names an unknown client")
-            cached = self._cache[key] = self._evaluate(key)
+            cached = self._cache[key] = self.v_ref - self._test_loss(key)
             self.evaluations += 1
         return cached
-
-    def _evaluate(self, key: int) -> float:
-        raise NotImplementedError
-
-
-class UtilityContext(CachedUtility):
-    """Round-scoped utility: candidate models from client deltas, scored on test data.
-
-    The candidate for a subset S is the round-start model plus the mean of
-    the subset's deltas (``mean`` weighting) or ``nu`` times their sum
-    (``sum`` weighting).  The returned score is ``v_ref`` minus the mean
-    test loss; with the default ``v_ref`` (test loss of the round-start
-    model) the empty coalition scores exactly zero.
-
-    Clients own mask bits in sorted-id order.  The candidate's test scores
-    are ``s0 + scale * (hi_sum + lo_sum)``: the round-start scores plus the
-    subset's sums over the two grid-snapped parts of the per-client score
-    matrix (see the module docstring).  A miss moves the running sums from
-    the last scored mask, adding and subtracting the rows of the bits set
-    in ``key ^ last``, or restarts them from zero when that adds fewer
-    rows.  It then makes one ``losses.mean_loss`` call on the n_test x 3
-    columns ``[s0, hi_sum, lo_sum]`` with weights ``(1, scale, scale)``,
-    kept in one preallocated buffer.
-    """
-
-    def __init__(self, phi_t: np.ndarray, deltas: dict[int, np.ndarray],
-                 test_set: Dataset, loss: str, v_ref: float | None = None,
-                 weighting: str = MEAN_WEIGHTING, nu: float = 1.0):
-        ids = sorted(map(int, deltas))
-        super().__init__(ids)
-        if weighting not in WEIGHTINGS:
-            raise ValueError(f"unknown weighting {weighting!r}")
-        if len(test_set) == 0:
-            raise ValueError("test set must be non-empty")
-        losses.check_kind(loss)
-        self.phi_t = np.asarray(phi_t, dtype=np.float64)
-        stacked = np.array([deltas[c] for c in ids], dtype=np.float64
-                           ).reshape(len(ids), self.phi_t.size)
-        features = test_set.features
-        parts = _split_on_grids(stacked, features)
-        self._parts = list(parts)  # by bit position
-        # the round-start scores, then the subset's running hi and lo sums,
-        # which F order lays out as one contiguous (2, n_test) block
-        self._columns = np.zeros((len(test_set), 3), order="F")
-        self._columns[:, 0] = features @ self.phi_t
-        self._sum = self._columns.T[1:]
-        self._last = 0
-        self._weights = np.ones(3)
-        self.test_set, self.loss, self.weighting, self.nu = test_set, loss, weighting, nu
-        self.v_ref = float(self._test_loss(0) if v_ref is None else v_ref)
 
     def _test_loss(self, key: int) -> float:
         changed = key ^ self._last
@@ -212,9 +162,6 @@ class UtilityContext(CachedUtility):
         weights[1] = weights[2] = self.nu if self.weighting == SUM_WEIGHTING \
             else 1.0 / max(size, 1)
         return losses.mean_loss(self.loss, weights, self._columns, self.test_set.labels)
-
-    def _evaluate(self, key: int) -> float:
-        return self.v_ref - self._test_loss(key)
 
 
 def _split_on_grids(deltas: np.ndarray, features: np.ndarray) -> np.ndarray:
@@ -244,52 +191,8 @@ def _snap(a: np.ndarray, out: np.ndarray) -> None:
     np.ldexp(out, shift, out=out)
 
 
-class GameUtility(CachedUtility):
-    """Utility backed by an arbitrary set function; same counting interface.
-
-    An id gets the next free mask bit the first time it is seen, and a miss
-    decodes its mask back into the frozenset of ids that ``fn`` scores.
-    """
-
-    def __init__(self, fn: Callable[[frozenset[int]], float]):
-        super().__init__()
-        self._fn = fn
-        self._ids: list[int] = []  # by bit position
-
-    def bit(self, client) -> int:
-        client = int(client)
-        bit = self._bits.get(client)
-        if bit is None:
-            bit = self._bits[client] = 1 << len(self._ids)
-            self._ids.append(client)
-        return bit
-
-    def _evaluate(self, key: int) -> float:
-        return float(self._fn(frozenset(c for i, c in enumerate(self._ids) if key >> i & 1)))
-
-
-def exact_shapley(ctx, participants: Sequence[int]) -> ContributionVector:
-    """Exact Shapley values by subset enumeration with multiplicity weights."""
-    players = [int(p) for p in participants]
-    m = len(players)
-    if m > EXACT_SHAPLEY_MAX_PLAYERS:
-        raise OracleSizeError(f"{m} participants exceed the enumeration limit "
-                              f"of {EXACT_SHAPLEY_MAX_PLAYERS}")
-    fact = math.factorial
-    weights = [fact(k) * fact(m - 1 - k) / fact(m) for k in range(m)]
-    u = {p: 0.0 for p in players}
-    for n in players:
-        others = [p for p in players if p != n]
-        for k in range(m):
-            for combo in combinations(others, k):
-                s = frozenset(combo)
-                marginal = ctx.value(s | {n}) - ctx.value(s)
-                u[n] += weights[k] * marginal
-    return ContributionVector(u=u, permutations_used=fact(m), truncation_eps=0.0)
-
-
-def _fisher_yates(gen: np.random.Generator, items: Sequence[int],
-                  count: int) -> list[tuple[int, ...]]:
+def draw_permutations(gen: np.random.Generator, items: Sequence[int],
+                      count: int) -> list[tuple[int, ...]]:
     """``count`` Fisher-Yates shuffles of ``items``, with one draw for every swap index.
 
     Swap ``i`` (from the last position down to 1) takes an index below
@@ -310,31 +213,29 @@ def _fisher_yates(gen: np.random.Generator, items: Sequence[int],
     return perms
 
 
-def tmc_shapley(ctx, participants: Sequence[int], plan: PermutationPlan) -> ContributionVector:
-    """Truncated Monte-Carlo Shapley over ``plan.delta`` permutations.
+def tmc_shapley(ctx, participants: Sequence[int], permutations: Iterable[Sequence[int]],
+                eps: float) -> ContributionVector:
+    """Truncated Monte-Carlo Shapley over the given permutations of the participants.
 
     Each permutation is scanned front to back, tracking the prefix value.
-    Once the previous prefix value comes within ``plan.eps`` of the
+    Once the previous prefix value comes within ``eps`` of the
     full-coalition value the rest of the scan is frozen (marginals of the
     remaining players are zero for that permutation).  Values are folded
     into a running mean in permutation order, so results are a pure
-    function of the plan.
+    function of the permutations.  An id outside the participants is a
+    ``LookupError``.
     """
     players = tuple(int(p) for p in participants)
-    if plan.permutations is not None:
-        perms = plan.permutations
-    else:
-        perms = _fisher_yates(plan.stream.generator(), players, plan.delta)
-    # an id of an explicit permutation outside the participants is a KeyError
     bit = {p: ctx.bit(p) for p in players}
     v_full = ctx.value(ctx.mask(players))
     u = {p: 0.0 for p in players}
-    for c, perm in enumerate(perms, start=1):
+    c = 0
+    for c, perm in enumerate(permutations, start=1):
         v_prev = ctx.value(0)
         key = 0
         truncated = False
         for n in perm:
-            if not truncated and abs(v_full - v_prev) < plan.eps:
+            if not truncated and abs(v_full - v_prev) < eps:
                 truncated = True
             if truncated:
                 v_m = v_prev
@@ -343,7 +244,7 @@ def tmc_shapley(ctx, participants: Sequence[int], plan: PermutationPlan) -> Cont
                 v_m = ctx.value(key)
             u[n] = ((c - 1) / c) * u[n] + (v_m - v_prev) / c
             v_prev = v_m
-    return ContributionVector(u=u, permutations_used=len(perms), truncation_eps=plan.eps)
+    return ContributionVector(u=u, permutations_used=c)
 
 
 def efficiency_residual(u: ContributionVector, ctx, participants: Sequence[int]) -> float:

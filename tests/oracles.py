@@ -1,15 +1,81 @@
 """Reference computations the program itself does not need, kept for tests.
 
-Each works on the array API: a dense ``alpha`` with one dual coordinate per
-row of the dataset, and a step ``rho`` aligned with a partition's rows.
+The dual-solver references work on the array API: a dense ``alpha`` with one
+dual coordinate per row of the dataset, and a step ``rho`` aligned with a
+partition's rows.  The Shapley references query games as ``tmc_shapley`` does.
 """
 
 import math
+from itertools import combinations
+from typing import Callable, Sequence
 
 import numpy as np
 
 from fedtoken import losses
 from fedtoken.dual import NEWTON_MAX_ITER, NEWTON_TOL, LocalUpdate, _solve_logistic
+from fedtoken.valuation import ContributionVector
+
+EXACT_SHAPLEY_MAX_PLAYERS = 10
+
+
+class OracleSizeError(ValueError):
+    """Exact enumeration requested for too many participants."""
+
+
+class GameUtility:
+    """A game from an arbitrary set function, queried as a ``UtilityContext`` is.
+
+    An id gets the next free mask bit the first time it is seen, and a miss
+    decodes its mask back into the frozenset of ids that ``fn`` scores.
+    """
+
+    def __init__(self, fn: Callable[[frozenset[int]], float]):
+        self.queries = self.evaluations = 0
+        self._fn = fn
+        self._cache: dict[int, float] = {}
+        self._bits: dict[int, int] = {}  # in bit order
+
+    def bit(self, client) -> int:
+        client = int(client)
+        if client not in self._bits:
+            self._bits[client] = 1 << len(self._bits)
+        return self._bits[client]
+
+    def mask(self, subset) -> int:
+        key = 0
+        for c in subset:
+            key |= self.bit(c)
+        return key
+
+    def value(self, subset) -> float:
+        key = subset if isinstance(subset, int) else self.mask(subset)
+        self.queries += 1
+        cached = self._cache.get(key)
+        if cached is None:
+            members = frozenset(c for i, c in enumerate(self._bits) if key >> i & 1)
+            cached = self._cache[key] = float(self._fn(members))
+            self.evaluations += 1
+        return cached
+
+
+def exact_shapley(ctx, participants: Sequence[int]) -> ContributionVector:
+    """Exact Shapley values by subset enumeration with multiplicity weights."""
+    players = [int(p) for p in participants]
+    m = len(players)
+    if m > EXACT_SHAPLEY_MAX_PLAYERS:
+        raise OracleSizeError(f"{m} participants exceed the enumeration limit "
+                              f"of {EXACT_SHAPLEY_MAX_PLAYERS}")
+    fact = math.factorial
+    weights = [fact(k) * fact(m - 1 - k) / fact(m) for k in range(m)]
+    u = {p: 0.0 for p in players}
+    for n in players:
+        others = [p for p in players if p != n]
+        for k in range(m):
+            for combo in combinations(others, k):
+                s = frozenset(combo)
+                marginal = ctx.value(s | {n}) - ctx.value(s)
+                u[n] += weights[k] * marginal
+    return ContributionVector(u=u, permutations_used=fact(m))
 
 
 def is_feasible(kind: str, alpha: np.ndarray, labels: np.ndarray,

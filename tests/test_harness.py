@@ -3,7 +3,7 @@ import json
 import numpy as np
 
 from fedtoken import cli
-from fedtoken.config import ExperimentConfig, save_config, validate
+from fedtoken.config import ConfigError, ExperimentConfig, save_config, validate
 from fedtoken.data import load_csv
 from fedtoken.dual import load_model
 import pytest
@@ -183,6 +183,24 @@ def test_sweep_rejects_unknown_axis():
         sweep(make_cfg(), "cohort", [1])
 
 
+@pytest.mark.parametrize("axis", ["delta", "budget"])
+def test_sweep_rejects_a_fractional_value_on_an_integer_axis(tmp_path, axis):
+    with pytest.raises(ConfigError, match=axis):
+        sweep(make_cfg(rounds=1), axis, [3, 2.5], tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("axis", ["delta", "budget"])
+def test_cli_sweep_rejects_a_fractional_value_on_an_integer_axis(tmp_path, capsys, axis):
+    cfg = tmp_path / "cfg.ini"
+    save_config(make_cfg(rounds=1), cfg)
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", str(cfg), "--axis", axis, "--values", "2.5,3",
+                     "--out", str(out)]) == 1
+    assert axis in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_round_step_preconditions():
     from fedtoken.harness import build_simulation
     from fedtoken.scheduler import BudgetExhausted, round_step
@@ -280,6 +298,8 @@ def test_cli_validation_exit_code(tmp_path):
 @pytest.mark.parametrize("section, key, value", [
     ("tokens", "total_tokens", 10**14),
     ("data", "n_samples", 8),
+    ("valuation", "delta", 0),
+    ("valuation", "eps", -1),
 ])
 def test_cli_rejects_configs_the_ledger_or_partition_cannot_hold(tmp_path, capsys,
                                                                   section, key, value):
@@ -302,6 +322,25 @@ def test_cli_rejects_a_csv_with_fewer_training_rows_than_clients(tmp_path, capsy
     out = tmp_path / "out"
     assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 1
     assert "data.csv_path" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("+1,0.5\n-1,abc\n", ":2: could not convert"),
+    ("+1,0.5\n-1,nan\n", "features must be finite"),
+    ("+1,0.5\n+2,0.25\n", "labels must be -1 or +1"),
+    ("", "no rows"),
+], ids=["non-numeric", "nan", "label", "empty"])
+def test_cli_rejects_malformed_csv_content(tmp_path, capsys, text, reason):
+    data = tmp_path / "bad.csv"
+    data.write_text(text, encoding="utf-8")
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(f"[run]\nseed = 1\n[data]\nsource = csv\ncsv_path = {data}\n",
+                   encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "data.csv_path" in err and reason in err
     assert not out.exists()
 
 

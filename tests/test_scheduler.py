@@ -21,7 +21,7 @@ def make_cfg(**overrides):
 
 
 def _cv(u):
-    return ContributionVector(u=u, permutations_used=1, truncation_eps=0.0)
+    return ContributionVector(u=u, permutations_used=1)
 
 
 def test_cohort_size_and_determinism():

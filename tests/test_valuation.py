@@ -1,5 +1,5 @@
 import math
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -7,11 +7,9 @@ import pytest
 from fedtoken import losses, valuation
 from fedtoken.data import Dataset
 from fedtoken.rng import RngStream
-from fedtoken.valuation import (GameUtility, OracleSizeError,
-                                PermutationPlan, UtilityContext, _fisher_yates,
-                                all_permutations_plan, efficiency_residual,
-                                exact_shapley, tmc_shapley)
-from oracles import scalar_fisher_yates
+from fedtoken.valuation import (UtilityContext, draw_permutations, efficiency_residual,
+                                tmc_shapley)
+from oracles import GameUtility, OracleSizeError, exact_shapley, scalar_fisher_yates
 
 
 def _test_set(seed=0, n=40, d=3):
@@ -26,6 +24,12 @@ def _model_ctx(deltas, weighting="mean", nu=1.0, seed=0):
     phi_t = np.zeros(test.d)
     return UtilityContext(phi_t, deltas, test, losses.LOGISTIC,
                           weighting=weighting, nu=nu)
+
+
+def _sampled(seed, players, count):
+    """``count`` permutations of ``players`` drawn from a test stream."""
+    return draw_permutations(RngStream(seed, purpose="perms").generator(), tuple(players),
+                             count)
 
 
 def _table_game(m, seed, empty_zero=True):
@@ -84,9 +88,8 @@ def test_unknown_client_is_a_lookup_error():
 
 def test_unknown_id_in_explicit_permutations_is_a_lookup_error():
     ctx = _model_ctx({0: np.zeros(3), 1: np.zeros(3)})
-    plan = PermutationPlan(delta=1, eps=0.0, permutations=((0, 7, 1),))
     with pytest.raises(LookupError):
-        tmc_shapley(ctx, (0, 1), plan)
+        tmc_shapley(ctx, (0, 1), [(0, 7, 1)], 0.0)
 
 
 def test_mask_beyond_the_known_clients_is_a_lookup_error():
@@ -127,7 +130,7 @@ def test_batched_permutation_draw_matches_one_draw_per_swap(n, count):
     for seed in range(50):
         gen_a = np.random.Generator(np.random.PCG64(seed))
         gen_b = np.random.Generator(np.random.PCG64(seed))
-        batched = _fisher_yates(gen_a, items, count)
+        batched = draw_permutations(gen_a, items, count)
         scalar = [scalar_fisher_yates(gen_b, items) for _ in range(count)]
         assert batched == scalar, (seed, n, count)
         assert gen_a.bit_generator.state == gen_b.bit_generator.state, (seed, n, count)
@@ -164,8 +167,7 @@ def test_subset_values_do_not_depend_on_the_permutation_that_reached_them():
     test = _test_set(5)
     ctxs = [UtilityContext(np.zeros(3), deltas, test, losses.LOGISTIC) for _ in range(2)]
     for ctx, seed in zip(ctxs, (1, 2)):
-        plan = PermutationPlan(delta=30, eps=0.0, stream=RngStream(seed, purpose="perms"))
-        tmc_shapley(ctx, players, plan)
+        tmc_shapley(ctx, players, _sampled(seed, players, 30), 0.0)
     for k in range(len(players) + 1):
         for combo in combinations(players, k):
             a = ctxs[0].value(frozenset(combo))
@@ -188,8 +190,7 @@ def test_each_utility_evaluation_makes_one_mean_loss_call(monkeypatch, eps):
     gen = np.random.Generator(np.random.PCG64(12))
     deltas = {c: 0.5 * gen.standard_normal(3) for c in range(6)}
     ctx = _model_ctx(deltas)
-    plan = PermutationPlan(delta=12, eps=eps, stream=RngStream(6, purpose="perms"))
-    tmc_shapley(ctx, tuple(range(6)), plan)
+    tmc_shapley(ctx, tuple(range(6)), _sampled(6, range(6), 12), eps)
     assert ctx.queries > ctx.evaluations > 0
     assert len(calls) == ctx.evaluations + 1
 
@@ -227,7 +228,7 @@ def test_snapped_scores_give_path_independent_exact_subset_values(loss, case):
     for _ in range(30):
         ctx = context()
         perm = tuple(int(p) for p in gen.permutation(players))
-        tmc_shapley(ctx, players, PermutationPlan(delta=1, eps=0.0, permutations=(perm,)))
+        tmc_shapley(ctx, players, [perm], 0.0)
         for i in gen.permutation(len(subsets)):
             ctx.value(subsets[i])
         filled.append(ctx)
@@ -301,8 +302,7 @@ def test_efficiency_residual_is_tiny_in_exact_mode():
 
 def test_tmc_with_infinite_eps_gives_all_zeros():
     players, game = _table_game(4, seed=30)
-    plan = PermutationPlan(delta=8, eps=math.inf, stream=RngStream(1, purpose="perms"))
-    result = tmc_shapley(game, players, plan)
+    result = tmc_shapley(game, players, _sampled(1, players, 8), math.inf)
     assert all(v == 0.0 for v in result.u.values())
 
 
@@ -310,7 +310,8 @@ def test_tmc_full_enumeration_matches_exact():
     for m in (2, 3, 4, 5):
         players, game = _table_game(m, seed=40 + m)
         exact = exact_shapley(game, players)
-        approx = tmc_shapley(game, players, all_permutations_plan(players, eps=0.0))
+        approx = tmc_shapley(game, players, permutations(players), 0.0)
+        assert approx.permutations_used == math.factorial(m)
         for p in players:
             assert approx.u[p] == pytest.approx(exact.u[p], abs=1e-9)
         assert abs(efficiency_residual(approx, game, players)) <= 1e-9
@@ -321,8 +322,7 @@ def test_tmc_sampled_is_close_to_exact():
     deltas[3] = np.array([-0.5, 0.2, 0.0])
     ctx = _model_ctx(deltas)
     exact = exact_shapley(ctx, tuple(range(4)))
-    plan = PermutationPlan(delta=5000, eps=0.0, stream=RngStream(9, purpose="perms"))
-    approx = tmc_shapley(ctx, tuple(range(4)), plan)
+    approx = tmc_shapley(ctx, tuple(range(4)), _sampled(9, range(4), 5000), 0.0)
     values = [ctx.value(frozenset(s)) for k in range(5)
               for s in combinations(range(4), k)]
     spread = max(values) - min(values)
@@ -334,7 +334,7 @@ def test_tmc_symmetric_deltas_get_equal_values_under_enumeration():
     delta = np.array([0.25, -0.1, 0.05])
     deltas = {c: delta.copy() for c in range(4)}
     ctx = _model_ctx(deltas)
-    result = tmc_shapley(ctx, tuple(range(4)), all_permutations_plan(range(4)))
+    result = tmc_shapley(ctx, tuple(range(4)), permutations(range(4)), 0.0)
     vals = list(result.u.values())
     for v in vals[1:]:
         assert v == pytest.approx(vals[0], abs=1e-12)
@@ -343,9 +343,8 @@ def test_tmc_symmetric_deltas_get_equal_values_under_enumeration():
 def test_tmc_is_deterministic_given_the_stream():
     players, game_a = _table_game(5, seed=77)
     _, game_b = _table_game(5, seed=77)
-    plan = PermutationPlan(delta=20, eps=0.01, stream=RngStream(4, purpose="perms"))
-    a = tmc_shapley(game_a, players, plan)
-    b = tmc_shapley(game_b, players, plan)
+    a = tmc_shapley(game_a, players, _sampled(4, players, 20), 0.01)
+    b = tmc_shapley(game_b, players, _sampled(4, players, 20), 0.01)
     assert a.u == b.u
 
 
@@ -354,23 +353,20 @@ def test_truncation_dominance_in_query_counts():
     counts = {}
     for eps in (0.0, 0.2, 1.0, math.inf):
         _, game = _table_game(5, seed=88)
-        plan = PermutationPlan(delta=30, eps=eps, stream=RngStream(2, purpose="perms"))
-        tmc_shapley(game, players, plan)
+        tmc_shapley(game, players, _sampled(2, players, 30), eps)
         counts[eps] = game.queries
     assert counts[0.0] >= counts[0.2] >= counts[1.0] >= counts[math.inf]
 
 
 def test_aggressive_truncation_breaks_efficiency():
     players, game = _table_game(4, seed=91)
-    plan = PermutationPlan(delta=12, eps=10.0, stream=RngStream(3, purpose="perms"))
-    result = tmc_shapley(game, players, plan)
+    result = tmc_shapley(game, players, _sampled(3, players, 12), 10.0)
     assert abs(efficiency_residual(result, game, players)) > 1e-6
 
 
 def test_cache_shares_work_across_permutations():
     players, game = _table_game(4, seed=95)
-    plan = all_permutations_plan(players)
-    tmc_shapley(game, players, plan)
+    tmc_shapley(game, players, permutations(players), 0.0)
     assert game.evaluations <= 2 ** 4
     assert game.queries > game.evaluations
 
@@ -388,12 +384,3 @@ def test_padding_with_null_players_dilutes_the_mean_value():
         result = exact_shapley(ctx, tuple(sorted(deltas)))
         means.append(np.mean(list(result.u.values())))
     assert all(means[i + 1] <= means[i] + 1e-12 for i in range(3))
-
-
-def test_permutation_plan_validation():
-    with pytest.raises(ValueError):
-        PermutationPlan(delta=0, eps=0.0, stream=RngStream(1))
-    with pytest.raises(ValueError):
-        PermutationPlan(delta=2, eps=-1.0, stream=RngStream(1))
-    with pytest.raises(ValueError):
-        PermutationPlan(delta=2, eps=0.0)
