@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from . import ledger, losses, scheduler, tokenomics, valuation
@@ -187,6 +187,13 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
     def fail(field_name: str, message: str):
         section, key = _FIELD_TO_KEY[field_name]
         raise ConfigError(f"{section}.{key}: {message}")
+
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        # eps = inf is a setting: every permutation scan truncates at once
+        if isinstance(value, float) and (math.isnan(value) or
+                                         math.isinf(value) and f.name != "eps"):
+            fail(f.name, f"{value} is not a finite number")
 
     if cfg.aggregation not in scheduler.AGGREGATION_POLICIES:
         fail("aggregation", f"must be one of {scheduler.AGGREGATION_POLICIES}")

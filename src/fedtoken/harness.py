@@ -179,21 +179,33 @@ def _write_summary(out: Path, summary: dict) -> None:
     (out / SUMMARY_FILE).write_text(text + "\n", encoding="utf-8")
 
 
-def _apply_axis(cfg: ExperimentConfig, axis: str, value: float) -> ExperimentConfig:
-    if axis == "quota_ratio":
-        return with_overrides(cfg, quota=None, quota_ratio=float(value))
-    if axis in ("delta", "budget") and not float(value).is_integer():
+def _axis_value(axis: str, value) -> int | float:
+    """The value as the axis's config field holds it: an int on delta and budget."""
+    if axis not in ("delta", "budget"):
+        return float(value)
+    if not float(value).is_integer():
         raise ConfigError(f"sweep axis {axis}: {value!r} is not an integer")
+    return int(value)
+
+
+def _apply_axis(cfg: ExperimentConfig, axis: str, value: int | float) -> ExperimentConfig:
+    if axis == "quota_ratio":
+        return with_overrides(cfg, quota=None, quota_ratio=value)
     if axis == "delta":
-        return with_overrides(cfg, delta=int(value))
+        return with_overrides(cfg, delta=value)
     if axis == "budget":
-        return with_overrides(cfg, total_tokens=int(value), per_round_microtokens=None)
+        return with_overrides(cfg, total_tokens=value, per_round_microtokens=None)
     raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
 
 
 def sweep(cfg: ExperimentConfig, axis: str, values, out_dir: str | Path | None = None) -> list[dict]:
-    """One run per axis value under a shared seed schedule; returns table rows."""
-    values = list(values)
+    """One run per axis value under a shared seed schedule; returns table rows.
+
+    Values on the integer axes (``delta``, ``budget``) are stored, printed
+    and named as ints, so ``2.0`` there is ``2``; a fractional one is a
+    ``ConfigError``.
+    """
+    values = [_axis_value(axis, v) for v in values]
     if not values:
         raise ValueError("sweep needs at least one value")
     configs = [_apply_axis(cfg, axis, v) for v in values]

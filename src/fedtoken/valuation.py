@@ -14,22 +14,38 @@ cache keys a subset by an int mask with one bit per client, so a step along
 a permutation prefix sets one more bit, and a mask is the same int whatever
 order its members were added in.
 
-A round's context works in test-score space.  One GEMM gives each client's
-scores on the test set, ``S = deltas @ X_test.T`` (m x n_test), and every
-candidate model's scores are the round-start scores ``X_test @ phi_t`` plus
-``scale`` times a sum of rows of ``S``.  The context keeps that sum for the
-last subset it scored and moves it to the next one by adding and
-subtracting the rows whose membership changed, so a step along a
-permutation prefix is one row add, whatever m and d are.
+A round's context scores a subset by one ``losses.mean_loss`` call, and
+picks how it lays out that call's inputs once, by loss, when it is built.
+Either way a subset's value is a fixed function of its mask: it does not
+depend on which query path reached the subset first, so the cache may hand
+out whichever value it stored.
 
-Float sums depend on their order, and a cached value must not depend on
-which query path reached its subset first.  So ``S`` is split into two
-parts, ``hi`` and ``lo``, and each is rounded onto a grid: multiples of a
-power of two ``q`` with ``sum_c max_i |part[c, i]| < 2**52 * q`` (``q`` is
-at least 2**-1074, the smallest subnormal).  Every partial sum of any set of
-rows of one part is then an integer multiple of ``q`` below ``2**53 * q``,
-which float64 holds exactly, so a subset's sum is the same bits whatever
-order its rows were added and subtracted in.
+Squared loss is a quadratic form in the candidate model.  With
+``M = [X_test @ phi_t - y_test, X_test @ deltas.T]`` (n_test x (m + 1)) and
+``u`` the subset's weights on the clients, the candidate's test loss is
+``|M @ [1, u]|**2 / (2 n_test)``.  ``M = Q R`` leaves that norm unchanged
+under ``R``, which has at most m + 1 rows, so the context keeps
+``R * sqrt(rows / n_test)``: ``F = R[:, 1:]`` as features and ``-R[:, 0]``
+as labels.  A miss then scores m + 1 rows, whatever n_test is.  The weights
+are the member indicator times ``1/|S|`` or ``nu``; setting and clearing an
+indicator entry is exact, so the value needs no snapping.
+
+Logistic loss is not a quadratic form, so its context works in test-score
+space.  One GEMM gives each client's scores on the test set,
+``S = deltas @ X_test.T`` (m x n_test), and every candidate model's scores
+are the round-start scores ``X_test @ phi_t`` plus ``scale`` times a sum of
+rows of ``S``.  The context keeps that sum for the last subset it scored and
+moves it to the next one by adding and subtracting the rows whose
+membership changed, so a step along a permutation prefix is one row add,
+whatever m and d are.
+
+Float sums depend on their order, so ``S`` is split into two parts, ``hi``
+and ``lo``, and each is rounded onto a grid: multiples of a power of two
+``q`` with ``sum_c max_i |part[c, i]| < 2**52 * q`` (``q`` is at least
+2**-1074, the smallest subnormal).  Every partial sum of any set of rows of
+one part is then an integer multiple of ``q`` below ``2**53 * q``, which
+float64 holds exactly, so a subset's sum is the same bits whatever order
+its rows were added and subtracted in.
 
 ``hi`` is ``S`` rounded to the grid that its own bound sets.  ``lo = S - hi``
 is the rounding remainder, exact in float64 and at most ``q / 2`` an entry,
@@ -69,21 +85,25 @@ class UtilityContext:
     The candidate for a subset S is the round-start model plus the mean of
     the subset's deltas (``mean`` weighting) or ``nu`` times their sum
     (``sum`` weighting).  The returned score is ``v_ref``, the test loss of
-    the round-start model, minus the candidate's mean test loss, so the
-    empty coalition scores exactly zero.
+    the round-start model, minus the candidate's mean test loss.  ``v_ref``
+    comes from the same scorer at mask 0, so the empty coalition scores
+    exactly zero.
 
     A subset is keyed by an int mask: the i-th client in sorted-id order owns
     bit ``1 << i``.  ``value`` takes a mask or any iterable of ids, and both
     reach the same cache entry.  An id or mask bit the context does not know
     is a ``LookupError``.
 
-    The candidate's test scores are ``s0 + scale * (hi_sum + lo_sum)``: the
-    round-start scores plus the subset's sums over the two grid-snapped
-    parts of the per-client score matrix (see the module docstring).  A miss
-    moves the running sums from the last scored mask by the rows of the bits
-    set in ``key ^ last``, or restarts them from zero when that adds fewer
-    rows.  It then makes one ``losses.mean_loss`` call on the n_test x 3
-    columns ``[s0, hi_sum, lo_sum]`` with weights ``(1, scale, scale)``.
+    A miss makes one ``losses.mean_loss`` call, on inputs laid out by loss
+    when the context is built and moved from the last scored mask by the
+    bits set in ``key ^ last`` (see the module docstring):
+
+    * squared loss: the member indicator, times the subset's scale, as the
+      weights on the compressed features ``F``, at most m + 1 rows of m;
+    * logistic loss: the candidate's test scores ``s0 + scale * (hi_sum +
+      lo_sum)``, as the n_test x 3 columns ``[s0, hi_sum, lo_sum]`` with
+      weights ``(1, scale, scale)``.  The running sums restart from zero
+      when that adds fewer rows.
     """
 
     def __init__(self, phi_t: np.ndarray, deltas: dict[int, np.ndarray],
@@ -101,17 +121,22 @@ class UtilityContext:
         self.phi_t = np.asarray(phi_t, dtype=np.float64)
         stacked = np.array([deltas[c] for c in ids], dtype=np.float64
                            ).reshape(len(ids), self.phi_t.size)
-        features = test_set.features
-        parts = _split_on_grids(stacked, features)
-        self._parts = list(parts)  # by bit position
-        # the round-start scores, then the subset's running hi and lo sums,
-        # which F order lays out as one contiguous (2, n_test) block
-        self._columns = np.zeros((len(test_set), 3), order="F")
-        self._columns[:, 0] = features @ self.phi_t
-        self._sum = self._columns.T[1:]
-        self._last = 0
-        self._weights = np.ones(3)
         self.test_set, self.loss, self.weighting, self.nu = test_set, loss, weighting, nu
+        self._last = 0
+        if loss == losses.SQUARED:
+            self._features, self._labels = _compress(self.phi_t, stacked, test_set)
+            self._member = np.zeros(len(ids))
+            self._weights = np.zeros(len(ids))
+        else:
+            features = test_set.features
+            self._parts = list(_split_on_grids(stacked, features))  # by bit position
+            # the round-start scores, then the subset's running hi and lo sums,
+            # which F order lays out as one contiguous (2, n_test) block
+            self._features = np.zeros((len(test_set), 3), order="F")
+            self._features[:, 0] = features @ self.phi_t
+            self._sum = self._features.T[1:]
+            self._labels = test_set.labels
+            self._weights = np.ones(3)
         self.v_ref = self._test_loss(0)
 
     def bit(self, client) -> int:
@@ -141,8 +166,24 @@ class UtilityContext:
         return cached
 
     def _test_loss(self, key: int) -> float:
-        changed = key ^ self._last
         size = key.bit_count()
+        scale = self.nu if self.weighting == SUM_WEIGHTING else 1.0 / max(size, 1)
+        if self.loss == losses.SQUARED:
+            changed, member = key ^ self._last, self._member
+            while changed:
+                low = changed & -changed
+                i = low.bit_length() - 1
+                member[i] = 1.0 - member[i]
+                changed ^= low
+            np.multiply(member, scale, out=self._weights)
+        else:
+            self._move_sums(key, size)
+            self._weights[1] = self._weights[2] = scale
+        self._last = key
+        return losses.mean_loss(self.loss, self._weights, self._features, self._labels)
+
+    def _move_sums(self, key: int, size: int) -> None:
+        changed = key ^ self._last
         if changed.bit_count() > size:
             self._sum.fill(0.0)
             add, drop = key, 0
@@ -157,11 +198,23 @@ class UtilityContext:
             low = drop & -drop
             np.subtract(total, parts[low.bit_length() - 1], out=total)
             drop ^= low
-        self._last = key
-        weights = self._weights
-        weights[1] = weights[2] = self.nu if self.weighting == SUM_WEIGHTING \
-            else 1.0 / max(size, 1)
-        return losses.mean_loss(self.loss, weights, self._columns, self.test_set.labels)
+
+
+def _compress(phi_t: np.ndarray, deltas: np.ndarray,
+              test_set: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """Features and labels on at most m + 1 rows that give every candidate's squared test loss.
+
+    The rows are the triangular factor of the residual and score columns
+    ``M = [X @ phi_t - y, X @ deltas.T]``, scaled by ``sqrt(rows / n_test)``
+    so that their mean loss, taken over fewer rows, is the test set's.
+    """
+    features = test_set.features
+    columns = np.empty((features.shape[0], deltas.shape[0] + 1))
+    np.subtract(features @ phi_t, test_set.labels, out=columns[:, 0])
+    columns[:, 1:] = features @ deltas.T
+    r = np.linalg.qr(columns, mode="r")
+    r *= math.sqrt(r.shape[0] / features.shape[0])
+    return np.ascontiguousarray(r[:, 1:]), -r[:, 0]
 
 
 def _split_on_grids(deltas: np.ndarray, features: np.ndarray) -> np.ndarray:

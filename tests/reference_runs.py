@@ -11,11 +11,19 @@ Regenerate the file only for a change that is meant to alter results, and
 name the cause where the change is described:
 
     PYTHONPATH=src python tests/reference_runs.py
+
+To see how far the current code has drifted from the committed file without
+writing anything, print each float field's largest relative and absolute
+difference, by loss, and every mismatch in an exact field:
+
+    PYTHONPATH=src python tests/reference_runs.py --drift
 """
 
 from __future__ import annotations
 
+import argparse
 import json
+import math
 from pathlib import Path
 
 from fedtoken.config import ExperimentConfig, validate
@@ -27,6 +35,10 @@ LOSSES = ("squared", "logistic")
 POLICIES = ("fedtoken", "fedavg-all", "random-quota")
 SCHEMES = ("iid", "label-shards", "dirichlet")
 N_CONFIGS = 30
+# fields of a round compared exactly, and the float fields (contributions is
+# a dict of floats by client id)
+EXACT = ("round", "selected", "rejected", "flagged", "awards", "block_hash")
+FLOATS = ("test_loss", "duality_gap", "contributions")
 
 
 def config_overrides() -> list[dict]:
@@ -88,5 +100,60 @@ def regenerate() -> None:
                     encoding="utf-8")
 
 
+def _float_pairs(new: dict, old: dict, field: str):
+    """(label, got, want) for each float of one field in a recorded round."""
+    if field == "contributions":
+        for c, want in old[field].items():
+            yield f"client {c}", new[field].get(c, math.nan), want
+    else:
+        yield field, new[field], old[field]
+
+
+def drift() -> list[str]:
+    """Report lines: per float field and loss the largest differences, then mismatches."""
+    reference = json.loads(PATH.read_text(encoding="utf-8"))["runs"]
+    worst: dict[tuple[str, str], list] = {}
+    mismatches = []
+    for entry in reference:
+        overrides = entry["config"]
+        where = f"seed {overrides['seed']} ({overrides['loss']}, {overrides['aggregation']})"
+        got = record(overrides)
+        if len(got) != len(entry["rounds"]):
+            mismatches.append(f"{where}: {len(got)} rounds, committed "
+                              f"{len(entry['rounds'])}")
+        for new, old in zip(got, entry["rounds"]):
+            at = f"{where} round {old['round']}"
+            mismatches += [f"{at}: {key} {new[key]!r} != {old[key]!r}"
+                           for key in EXACT if new[key] != old[key]]
+            if new["contributions"].keys() != old["contributions"].keys():
+                mismatches.append(f"{at}: contributions name clients "
+                                  f"{sorted(new['contributions'])}, committed "
+                                  f"{sorted(old['contributions'])}")
+            for field in FLOATS:
+                row = worst.setdefault((field, overrides["loss"]), [0.0, 0.0, "-"])
+                for label, a, b in _float_pairs(new, old, field):
+                    diff = abs(a - b) if a == a else math.inf  # a NaN is unbounded drift
+                    rel = diff / abs(b) if b else (math.inf if diff else 0.0)
+                    if rel > row[0]:
+                        row[2] = f"{at}, {label}"
+                    row[0], row[1] = max(row[0], rel), max(row[1], diff)
+    lines = [f"{'field':<14} {'loss':<9} {'max rel':>9} {'max abs':>9}  largest rel at"]
+    lines += [f"{field:<14} {loss:<9} {rel:9.2e} {diff:9.2e}  {at}"
+              for (field, loss), (rel, diff, at) in sorted(worst.items())]
+    lines.append(f"{len(mismatches)} mismatches in exact fields "
+                 f"({', '.join(EXACT)})")
+    return lines + mismatches
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--drift", action="store_true",
+                        help="compare with the committed file and write nothing")
+    if parser.parse_args(argv).drift:
+        print("\n".join(drift()))
+    else:
+        regenerate()
+
+
 if __name__ == "__main__":
-    regenerate()
+    main()

@@ -201,6 +201,21 @@ def test_cli_sweep_rejects_a_fractional_value_on_an_integer_axis(tmp_path, capsy
     assert not out.exists()
 
 
+def test_cli_sweep_keeps_integer_axis_values_as_ints(tmp_path, capsys):
+    cfg = tmp_path / "cfg.ini"
+    save_config(make_cfg(rounds=1), cfg)
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", str(cfg), "--axis", "delta", "--values", "2,3",
+                     "--out", str(out)]) == 0
+    table = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in table[1:]] == ["2", "3"]
+    assert (out / "delta-2" / "metrics.jsonl").exists()
+    assert not (out / "delta-2.0").exists()
+    rows = [json.loads(line) for line in (out / "sweep.jsonl").read_text().splitlines()]
+    assert [row["value"] for row in rows] == [2, 3]
+    assert all(type(row["value"]) is int for row in rows)
+
+
 def test_round_step_preconditions():
     from fedtoken.harness import build_simulation
     from fedtoken.scheduler import BudgetExhausted, round_step
@@ -300,6 +315,12 @@ def test_cli_validation_exit_code(tmp_path):
     ("data", "n_samples", 8),
     ("valuation", "delta", 0),
     ("valuation", "eps", -1),
+    ("learning", "lambda", "nan"),
+    ("learning", "lambda", "inf"),
+    ("data", "separation", "nan"),
+    ("data", "separation", "inf"),
+    ("valuation", "eps", "nan"),
+    ("data", "dirichlet_beta", "nan"),
 ])
 def test_cli_rejects_configs_the_ledger_or_partition_cannot_hold(tmp_path, capsys,
                                                                   section, key, value):

@@ -9,7 +9,7 @@ import inspect
 import sys
 from pathlib import Path
 
-from fedtoken import rng
+from fedtoken import losses, rng
 from fedtoken.config import ExperimentConfig, validate
 from fedtoken.dual import upload_size
 from fedtoken.harness import run
@@ -65,21 +65,23 @@ def test_tracer_counts_the_local_solve_work(monkeypatch):
 
 def test_tracer_counts_the_valuation_work(monkeypatch):
     # every TMC query is a UtilityContext.value call, and every cache miss
-    # makes exactly one mean_loss call inside it
+    # makes exactly one mean_loss call inside it, whichever scorer the loss picks
     recorder = _installed_tracer(monkeypatch)
-    cfg = validate(ExperimentConfig(seed=5, n_samples=120, dim=4, n_clients=8,
-                                    m_fraction=0.75, rounds=2, aggregation="fedtoken",
-                                    delta=6, eps=0.01))
-    result = run(cfg)
-
     spans = recorder.spans
-    value_spans = [i for i, span in enumerate(spans)
-                   if span[0] == "valuation.UtilityContext.value"]
-    in_value = set(value_spans)
-    kernel_calls = sum(span[0] == tracer.MEAN_LOSS and span[3] in in_value for span in spans)
-    queries = sum(m.utility_queries for m in result.metrics)
-    evaluations = sum(m.utility_evaluations for m in result.metrics)
-    assert len(result.metrics) == 2 and recorder.missing == []
-    assert queries > evaluations > 0
-    assert len(value_spans) == queries
-    assert kernel_calls == evaluations
+    for loss in losses.LOSS_KINDS:
+        first = len(spans)
+        cfg = validate(ExperimentConfig(seed=5, n_samples=120, dim=4, n_clients=8,
+                                        m_fraction=0.75, rounds=2, aggregation="fedtoken",
+                                        delta=6, eps=0.01, loss=loss))
+        result = run(cfg)
+
+        in_value = {i for i in range(first, len(spans))
+                    if spans[i][0] == "valuation.UtilityContext.value"}
+        kernel_calls = sum(span[0] == tracer.MEAN_LOSS and span[3] in in_value
+                           for span in spans[first:])
+        queries = sum(m.utility_queries for m in result.metrics)
+        evaluations = sum(m.utility_evaluations for m in result.metrics)
+        assert len(result.metrics) == 2 and recorder.missing == [], loss
+        assert queries > evaluations > 0, loss
+        assert len(in_value) == queries, loss
+        assert kernel_calls == evaluations, loss

@@ -45,8 +45,10 @@ def _table_game(m, seed, empty_zero=True):
 
 
 def test_empty_subset_scores_zero_with_default_reference():
-    ctx = _model_ctx({0: np.array([0.5, 0.0, 0.0])})
-    assert ctx.value(frozenset()) == 0.0
+    # v_ref is scored the way every subset is, not by a direct test-set pass
+    for loss in losses.LOSS_KINDS:
+        ctx = UtilityContext(np.zeros(3), {0: np.array([0.5, 0.0, 0.0])}, _test_set(0), loss)
+        assert ctx.value(frozenset()) == 0.0, loss
 
 
 def test_all_zero_deltas_score_zero_everywhere():
@@ -165,14 +167,36 @@ def test_subset_values_do_not_depend_on_the_permutation_that_reached_them():
     deltas = _five_client_deltas()
     players = tuple(sorted(deltas))
     test = _test_set(5)
-    ctxs = [UtilityContext(np.zeros(3), deltas, test, losses.LOGISTIC) for _ in range(2)]
-    for ctx, seed in zip(ctxs, (1, 2)):
-        tmc_shapley(ctx, players, _sampled(seed, players, 30), 0.0)
-    for k in range(len(players) + 1):
-        for combo in combinations(players, k):
-            a = ctxs[0].value(frozenset(combo))
-            b = ctxs[1].value(frozenset(combo))
-            assert a.hex() == b.hex(), combo
+    for loss in losses.LOSS_KINDS:
+        ctxs = [UtilityContext(np.zeros(3), deltas, test, loss) for _ in range(2)]
+        for ctx, seed in zip(ctxs, (1, 2)):
+            tmc_shapley(ctx, players, _sampled(seed, players, 30), 0.0)
+        for k in range(len(players) + 1):
+            for combo in combinations(players, k):
+                a = ctxs[0].value(frozenset(combo))
+                b = ctxs[1].value(frozenset(combo))
+                assert a.hex() == b.hex(), (loss, combo)
+
+
+@pytest.mark.parametrize("n_test,m,d", [(2000, 10, 20), (4, 10, 3)],
+                         ids=["tall", "fewer-rows-than-clients"])
+@pytest.mark.parametrize("weighting,nu", [("mean", 1.0), ("sum", 0.3)])
+def test_squared_value_on_the_compressed_test_set_matches_the_candidate_model(
+        n_test, m, d, weighting, nu):
+    # a squared context scores every subset on at most m + 1 rows, not n_test
+    gen = np.random.Generator(np.random.PCG64(13))
+    labels = np.array([1.0, -1.0] * (n_test // 2))
+    test = Dataset(gen.standard_normal((n_test, d)) + 0.8 * labels[:, None], labels)
+    phi_t = 0.1 * gen.standard_normal(d)
+    deltas = {c: 0.3 * gen.standard_normal(d) for c in range(m)}
+    ctx = UtilityContext(phi_t, deltas, test, losses.SQUARED, weighting=weighting, nu=nu)
+    v_ref = losses.mean_loss(losses.SQUARED, phi_t, test.features, test.labels)
+    for key in gen.permutation(1 << m).tolist():
+        members = [c for c in range(m) if key >> c & 1]
+        scale = nu if weighting == "sum" else 1.0 / max(len(members), 1)
+        model = phi_t + scale * sum((deltas[c] for c in members), np.zeros(d))
+        expected = v_ref - losses.mean_loss(losses.SQUARED, model, test.features, test.labels)
+        assert abs(ctx.value(key) - expected) <= 1e-12, members
 
 
 @pytest.mark.parametrize("eps", [0.0, 0.05])
