@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 validation problem, 2 runtime failure,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -127,8 +128,10 @@ def _cmd_ledger(args) -> int:
 
 
 def _cmd_gen_data(args) -> int:
-    if args.n < 2 or args.d < 1 or args.separation <= 0:
-        raise ConfigError("gen-data needs n >= 2, d >= 1, separation > 0")
+    if args.n < 2 or args.d < 1:
+        raise ConfigError("gen-data needs --n >= 2 and --d >= 1")
+    if not (math.isfinite(args.separation) and args.separation > 0):
+        raise ConfigError(f"--separation must be finite and > 0, got {args.separation}")
     dataset = synth_gaussian(args.n, args.d, args.separation,
                              RngStream(args.seed, purpose="synth-data"))
     save_csv(dataset, args.out)
@@ -143,8 +146,14 @@ def _cmd_report(args) -> int:
         return EXIT_VALIDATION
     records = harness.read_metrics(path)
     columns = harness.DEFAULT_REPORT_COLUMNS
-    if args.columns:
+    if args.columns is not None:
         columns = tuple(c.strip() for c in args.columns.split(",") if c.strip())
+        if not columns:
+            raise ConfigError("--columns names no column")
+        unknown = [c for c in columns if c not in harness.REPORT_FIELDS]
+        if unknown:
+            raise ConfigError(f"--columns: unknown column {unknown[0]!r}; a round record "
+                              f"has {', '.join(harness.REPORT_FIELDS)}")
     print(harness.render_table(records, columns, gnuplot=args.gnuplot), end="")
     return EXIT_OK
 
@@ -163,7 +172,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, ledger.LedgerFormatError) as err:
+    except (ConfigError, ledger.LedgerFormatError, harness.MetricsFormatError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
     except Exception as err:  # noqa: BLE001 - CLI boundary

@@ -184,7 +184,10 @@ def local_solve(part: Cohort, dataset: Dataset, alpha: np.ndarray,
     into one block, takes one batched row dot against the running models,
     solves the active coordinates (closed form for squared loss on the
     whole vector, one scalar Newton solve per client for logistic) and
-    moves the models with one batched axpy.  Each ``delta_phi`` is
+    moves the models with one batched axpy.  The squared step solves for
+    the change ``c = r - rho`` itself: ``c = (y - a - rho - x.w) / (1 + q)``,
+    whose ``y - a - rho`` and ``1 / (1 + q)`` are gathered once a pass, as
+    ``rho`` moves only between passes.  Each ``delta_phi`` is
     recomputed from the client's final ``rho`` in one pass, so it matches
     (1 / (lambda * D)) * X_c^T rho_c exactly.
     """
@@ -214,23 +217,27 @@ def local_solve(part: Cohort, dataset: Dataset, alpha: np.ndarray,
         order = np.zeros(live.shape, dtype=np.intp)
         for i, (gen, n) in enumerate(zip(gens, sizes)):
             order[:n, i] = starts[i] + gen.permutation(n)
-        Xp, Qp, Rp = X[order], q[order], rho[order]
-        RQ = Rp * Qp
+        Xp, Rp = X[order], rho[order]
+        # vecdot takes each row's dot as ndarray.dot does, to the bit
         if squared:
-            YA, ONE = y[order] - a[order], 1.0 + Qp
+            # rho is the pass-start step, so T and INV hold for the whole pass
+            T, INV = (y - a - rho)[order], (1.0 / (1.0 + q))[order]
+            for k, na in enumerate(active):
+                B, W = Xp[k, :na], models[:na]
+                c = (T[k, :na] - np.vecdot(B, W)) * INV[k, :na]
+                W += (c * scale)[:, None] * B
+                Rp[k, :na] += c
         else:
+            Qp = q[order]
+            RQ = Rp * Qp
             As, Ys, Qs = a[order].tolist(), y[order].tolist(), Qp.tolist()
-        for k, na in enumerate(active):
-            B, W, rk = Xp[k, :na], models[:na], Rp[k, :na]
-            # vecdot takes each row's dot as ndarray.dot does, to the bit
-            base = np.vecdot(B, W) - RQ[k, :na]
-            if squared:
-                r = (YA[k, :na] - base) / ONE[k, :na]
-            else:
+            for k, na in enumerate(active):
+                B, W, rk = Xp[k, :na], models[:na], Rp[k, :na]
+                base = np.vecdot(B, W) - RQ[k, :na]
                 # map stops at the shortest input, base: the active clients
                 r = np.array(list(map(_solve_logistic, As[k], Ys[k], base.tolist(), Qs[k])))
-            W += ((r - rk) * scale)[:, None] * B
-            rk[:] = r
+                W += ((r - rk) * scale)[:, None] * B
+                rk[:] = r
         rho[order[live]] = Rp[live]
 
     solved = {}

@@ -15,7 +15,7 @@ own subdirectory, and return a comparison table.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -234,13 +234,24 @@ def sweep(cfg: ExperimentConfig, axis: str, values, out_dir: str | Path | None =
     return rows
 
 
+class MetricsFormatError(ValueError):
+    """A metrics file line that is not a JSON object."""
+
+
 def read_metrics(path: str | Path) -> list[dict]:
     records = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
-            if line:
-                records.append(json.loads(line))
+            if not line:
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as err:
+                raise MetricsFormatError(f"{path}:{lineno}: not JSON ({err.msg})") from None
+            if not isinstance(rec, dict):
+                raise MetricsFormatError(f"{path}:{lineno}: not a JSON object")
+            records.append(rec)
     return records
 
 
@@ -265,6 +276,7 @@ def missing_contributions(records: list[dict], chain, client_id: int) -> list[in
     return rounds
 
 
+REPORT_FIELDS = tuple(f.name for f in fields(RoundMetrics))
 DEFAULT_REPORT_COLUMNS = ("round", "test_accuracy", "test_loss", "duality_gap",
                           "tokens_contribution", "tokens_participation",
                           "budget_remaining")

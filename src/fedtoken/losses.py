@@ -38,17 +38,45 @@ def loss_values(kind: str, scores: np.ndarray, labels: np.ndarray) -> np.ndarray
     if kind == SQUARED:
         return 0.5 * (scores - labels) ** 2
     if kind == LOGISTIC:
-        # log(1 + e^m) = max(m, 0) + log1p(e^-|m|): cannot overflow, and is
-        # cheaper than np.logaddexp(0, m), which handles general pairs
-        m = -labels * scores
-        return np.maximum(m, 0.0) + np.log1p(np.exp(-np.abs(m)))
+        return _softplus(-labels * scores)
     raise ValueError(f"unknown loss kind {kind!r}")
 
 
-def mean_loss(kind: str, w: np.ndarray, features: np.ndarray, labels: np.ndarray) -> float:
-    """Mean loss of the scores ``features @ w``, one row per labelled sample."""
-    # the sum and division np.mean makes, without its few microseconds of set-up
-    return float(loss_values(kind, features @ w, labels).sum() / len(labels))
+def mean_loss(kind: str, w: np.ndarray, features: np.ndarray,
+              labels: np.ndarray | None) -> float:
+    """Mean loss of the scores ``features @ w``, one row per labelled sample.
+
+    For logistic loss ``labels`` may be ``None``: each row then already
+    carries its sample's ``-label``, so ``features @ w`` is the margin
+    ``-y * z`` itself and no label product is taken.  Labels are +-1, so a
+    row folded that way gives the same loss, to the bit, as the labelled
+    row.  Squared loss always takes labels.
+    """
+    z = features @ w
+    # sums and a division by hand, without np.mean's few microseconds of set-up
+    if kind == SQUARED:
+        z -= labels
+        return float(0.5 * (z @ z) / len(z))
+    if kind == LOGISTIC:
+        if labels is not None:
+            z *= -labels
+        return float(_softplus(z).sum() / len(z))
+    raise ValueError(f"unknown loss kind {kind!r}")
+
+
+def _softplus(m: np.ndarray) -> np.ndarray:
+    """log(1 + e^m) elementwise, computed in place of the margins ``m``.
+
+    ``max(m, 0) + log1p(e^-|m|)`` cannot overflow, and is cheaper than
+    np.logaddexp(0, m), which handles general pairs.
+    """
+    t = np.abs(m)
+    np.negative(t, out=t)
+    np.exp(t, out=t)
+    np.log1p(t, out=t)
+    np.maximum(m, 0.0, out=m)
+    m += t
+    return m
 
 
 def conjugate(kind: str, alpha: np.ndarray, labels: np.ndarray) -> np.ndarray:

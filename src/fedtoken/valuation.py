@@ -39,6 +39,14 @@ moves it to the next one by adding and subtracting the rows whose
 membership changed, so a step along a permutation prefix is one row add,
 whatever m and d are.
 
+The logistic loss of a score ``z`` with label ``y`` depends on the margin
+``-y * z`` alone.  So once the parts below are snapped, the context
+multiplies every test column of them, and of the round-start scores, by
+``-y``.  Labels are +-1, so that is an exact sign flip: each entry stays on
+its grid, and a candidate's combined columns are its margins, which
+``mean_loss`` takes with ``labels=None`` and scores without a label
+product, to the same bits as the labelled scores.
+
 Float sums depend on their order, so ``S`` is split into two parts, ``hi``
 and ``lo``, and each is rounded onto a grid: multiples of a power of two
 ``q`` with ``sum_c max_i |part[c, i]| < 2**52 * q`` (``q`` is at least
@@ -100,10 +108,11 @@ class UtilityContext:
 
     * squared loss: the member indicator, times the subset's scale, as the
       weights on the compressed features ``F``, at most m + 1 rows of m;
-    * logistic loss: the candidate's test scores ``s0 + scale * (hi_sum +
-      lo_sum)``, as the n_test x 3 columns ``[s0, hi_sum, lo_sum]`` with
-      weights ``(1, scale, scale)``.  The running sums restart from zero
-      when that adds fewer rows.
+    * logistic loss: the candidate's test margins ``m0 + scale * (hi_sum +
+      lo_sum)``, as the n_test x 3 columns ``[m0, hi_sum, lo_sum]`` with
+      weights ``(1, scale, scale)`` and no labels.  Each column is a score
+      times ``-y``, folded in when the context is built.  The running sums
+      restart from zero when that adds fewer rows.
     """
 
     def __init__(self, phi_t: np.ndarray, deltas: dict[int, np.ndarray],
@@ -128,14 +137,18 @@ class UtilityContext:
             self._member = np.zeros(len(ids))
             self._weights = np.zeros(len(ids))
         else:
-            features = test_set.features
-            self._parts = list(_split_on_grids(stacked, features))  # by bit position
-            # the round-start scores, then the subset's running hi and lo sums,
+            features, flip = test_set.features, -test_set.labels
+            parts = _split_on_grids(stacked, features)
+            # labels are +-1: the sign flip is exact and keeps every entry on
+            # its grid, and a candidate's scores become its margins
+            parts *= flip
+            self._parts = list(parts)  # by bit position
+            # the round-start margins, then the subset's running hi and lo sums,
             # which F order lays out as one contiguous (2, n_test) block
             self._features = np.zeros((len(test_set), 3), order="F")
-            self._features[:, 0] = features @ self.phi_t
+            np.multiply(features @ self.phi_t, flip, out=self._features[:, 0])
             self._sum = self._features.T[1:]
-            self._labels = test_set.labels
+            self._labels = None  # the rows carry -label already
             self._weights = np.ones(3)
         self.v_ref = self._test_loss(0)
 

@@ -17,6 +17,9 @@ writing anything, print each float field's largest relative and absolute
 difference, by loss, and every mismatch in an exact field:
 
     PYTHONPATH=src python tests/reference_runs.py --drift
+
+It exits 1 when an exact field mismatches or a float is outside the
+tolerance ``test_reference_runs.py`` allows (see ``close``), and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import sys
 from pathlib import Path
 
 from fedtoken.config import ExperimentConfig, validate
@@ -39,6 +43,15 @@ N_CONFIGS = 30
 # a dict of floats by client id)
 EXACT = ("round", "selected", "rejected", "flagged", "awards", "block_hash")
 FLOATS = ("test_loss", "duality_gap", "contributions")
+# a float matches to 1e-9 relative, with a 1e-15 absolute floor for values
+# near zero: a change that moves a float in its last bits passes, one that
+# moves a selection or a microtoken does not
+REL_TOL = 1e-9
+ABS_FLOOR = 1e-15
+
+
+def close(got: float, want: float) -> bool:
+    return abs(got - want) <= max(REL_TOL * abs(want), ABS_FLOOR)
 
 
 def config_overrides() -> list[dict]:
@@ -109,11 +122,13 @@ def _float_pairs(new: dict, old: dict, field: str):
         yield field, new[field], old[field]
 
 
-def drift() -> list[str]:
-    """Report lines: per float field and loss the largest differences, then mismatches."""
+def drift() -> tuple[list[str], bool]:
+    """Report lines (per float field and loss the largest differences, then
+    mismatches), and whether every field is within the test's tolerance."""
     reference = json.loads(PATH.read_text(encoding="utf-8"))["runs"]
     worst: dict[tuple[str, str], list] = {}
     mismatches = []
+    outside = 0
     for entry in reference:
         overrides = entry["config"]
         where = f"seed {overrides['seed']} ({overrides['loss']}, {overrides['aggregation']})"
@@ -132,6 +147,7 @@ def drift() -> list[str]:
             for field in FLOATS:
                 row = worst.setdefault((field, overrides["loss"]), [0.0, 0.0, "-"])
                 for label, a, b in _float_pairs(new, old, field):
+                    outside += not close(a, b)
                     diff = abs(a - b) if a == a else math.inf  # a NaN is unbounded drift
                     rel = diff / abs(b) if b else (math.inf if diff else 0.0)
                     if rel > row[0]:
@@ -140,20 +156,25 @@ def drift() -> list[str]:
     lines = [f"{'field':<14} {'loss':<9} {'max rel':>9} {'max abs':>9}  largest rel at"]
     lines += [f"{field:<14} {loss:<9} {rel:9.2e} {diff:9.2e}  {at}"
               for (field, loss), (rel, diff, at) in sorted(worst.items())]
+    lines.append(f"{outside} floats outside {REL_TOL:g} relative "
+                 f"(or {ABS_FLOOR:g} absolute)")
     lines.append(f"{len(mismatches)} mismatches in exact fields "
                  f"({', '.join(EXACT)})")
-    return lines + mismatches
+    return lines + mismatches, not (outside or mismatches)
 
 
-def main(argv=None) -> None:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--drift", action="store_true",
-                        help="compare with the committed file and write nothing")
+                        help="compare with the committed file, write nothing, "
+                             "and exit 1 if the test would fail")
     if parser.parse_args(argv).drift:
-        print("\n".join(drift()))
-    else:
-        regenerate()
+        lines, ok = drift()
+        print("\n".join(lines))
+        return 0 if ok else 1
+    regenerate()
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

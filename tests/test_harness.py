@@ -304,6 +304,35 @@ def test_cli_gen_data_round_trips(tmp_path, capsys):
     assert len(ds) == 30 and ds.d == 4
 
 
+@pytest.mark.parametrize("separation", ["nan", "inf", "-inf", "0"])
+def test_cli_gen_data_rejects_a_separation_that_is_not_finite_and_positive(
+        tmp_path, capsys, separation):
+    out = tmp_path / "synth.csv"
+    code = cli.main(["gen-data", "--n", "30", "--d", "4", f"--separation={separation}",
+                     "--seed", "11", "--out", str(out)])
+    assert code == 1
+    assert "--separation" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_report_rejects_unknown_columns_and_malformed_lines(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    run(make_cfg(rounds=1), out_dir)
+    metrics = out_dir / "metrics.jsonl"
+    for columns, named in (("round,nope", "'nope'"), (",", "no column"),
+                           ("", "no column")):
+        assert cli.main(["report", str(metrics), "--columns", columns]) == 1
+        captured = capsys.readouterr()
+        assert named in captured.err and captured.out == ""
+    good = metrics.read_text(encoding="utf-8")
+    for bad in ("{bad", "[1, 2]"):
+        broken = tmp_path / "broken.jsonl"
+        broken.write_text(good + bad + "\n", encoding="utf-8")
+        assert cli.main(["report", str(broken)]) == 1
+        line = len(good.splitlines()) + 1
+        assert f"{broken}:{line}" in capsys.readouterr().err
+
+
 def test_cli_validation_exit_code(tmp_path):
     bad = tmp_path / "bad.ini"
     bad.write_text("[run]\nseed = 1\n[learning]\nlambda = -3\n", encoding="utf-8")

@@ -78,6 +78,44 @@ def test_mean_loss_of_zero_model():
     assert losses.mean_loss(losses.LOGISTIC, w, feats, labels) == pytest.approx(math.log(2.0))
 
 
+EXTREME_MARGINS = (1e4, -1e4, 700.0, -700.0, 0.0, -0.0)
+
+
+@given(st.integers(1, 3000), st.integers(0, 2**32 - 1),
+       st.lists(st.sampled_from(EXTREME_MARGINS), max_size=12),
+       st.sampled_from([0.1, 3.0, 300.0]))
+def test_folded_margin_mean_loss_matches_the_labelled_one_to_the_bit(n, seed, extremes,
+                                                                      spread):
+    # rows that carry -label give the same logistic loss as labelled rows
+    gen = np.random.default_rng(seed)
+    features = spread * gen.standard_normal((n, 3))
+    labels = gen.choice([-1.0, 1.0], n)
+    w = np.array([1.0, *gen.standard_normal(2)])
+    # a row [z, 0, 0] scores z itself
+    rows = gen.choice(n, min(len(extremes), n), replace=False)
+    features[rows] = 0.0
+    features[rows, 0] = extremes[:len(rows)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        labelled = losses.mean_loss(losses.LOGISTIC, w, features, labels)
+        folded = losses.mean_loss(losses.LOGISTIC, w, features * -labels[:, None], None)
+        values = losses.loss_values(losses.LOGISTIC, features @ w, labels)
+    assert folded.hex() == labelled.hex()
+    assert labelled.hex() == float(values.sum() / n).hex()
+
+
+@pytest.mark.parametrize("n", [1, 2, 11, 257, 2000, 3000])
+def test_squared_mean_loss_matches_the_mean_of_the_loss_values(n):
+    gen = np.random.default_rng(n)
+    for spread in (1e-3, 1.0, 1e3):
+        features = spread * gen.standard_normal((n, 7))
+        labels = gen.choice([-1.0, 1.0], n)
+        w = gen.standard_normal(7)
+        got = losses.mean_loss(losses.SQUARED, w, features, labels)
+        want = losses.loss_values(losses.SQUARED, features @ w, labels).mean()
+        assert abs(got - want) <= 1e-15 * want, (spread, got, want)
+
+
 def test_feasible_interval():
     assert losses.feasible_interval(losses.LOGISTIC, 1.0) == (0.0, 1.0)
     assert losses.feasible_interval(losses.LOGISTIC, -1.0) == (-1.0, 0.0)

@@ -178,25 +178,38 @@ def test_subset_values_do_not_depend_on_the_permutation_that_reached_them():
                 assert a.hex() == b.hex(), (loss, combo)
 
 
+def _check_every_subset_against_its_candidate_model(loss, n_test, m, d, weighting, nu):
+    gen = np.random.Generator(np.random.PCG64(13))
+    labels = np.array([1.0, -1.0] * (n_test // 2))
+    test = Dataset(gen.standard_normal((n_test, d)) + 0.8 * labels[:, None], labels)
+    phi_t = 0.1 * gen.standard_normal(d)
+    deltas = {c: 0.3 * gen.standard_normal(d) for c in range(m)}
+    ctx = UtilityContext(phi_t, deltas, test, loss, weighting=weighting, nu=nu)
+    v_ref = losses.mean_loss(loss, phi_t, test.features, test.labels)
+    for key in gen.permutation(1 << m).tolist():
+        members = [c for c in range(m) if key >> c & 1]
+        scale = nu if weighting == "sum" else 1.0 / max(len(members), 1)
+        model = phi_t + scale * sum((deltas[c] for c in members), np.zeros(d))
+        expected = v_ref - losses.mean_loss(loss, model, test.features, test.labels)
+        assert abs(ctx.value(key) - expected) <= 1e-12, members
+
+
 @pytest.mark.parametrize("n_test,m,d", [(2000, 10, 20), (4, 10, 3)],
                          ids=["tall", "fewer-rows-than-clients"])
 @pytest.mark.parametrize("weighting,nu", [("mean", 1.0), ("sum", 0.3)])
 def test_squared_value_on_the_compressed_test_set_matches_the_candidate_model(
         n_test, m, d, weighting, nu):
     # a squared context scores every subset on at most m + 1 rows, not n_test
-    gen = np.random.Generator(np.random.PCG64(13))
-    labels = np.array([1.0, -1.0] * (n_test // 2))
-    test = Dataset(gen.standard_normal((n_test, d)) + 0.8 * labels[:, None], labels)
-    phi_t = 0.1 * gen.standard_normal(d)
-    deltas = {c: 0.3 * gen.standard_normal(d) for c in range(m)}
-    ctx = UtilityContext(phi_t, deltas, test, losses.SQUARED, weighting=weighting, nu=nu)
-    v_ref = losses.mean_loss(losses.SQUARED, phi_t, test.features, test.labels)
-    for key in gen.permutation(1 << m).tolist():
-        members = [c for c in range(m) if key >> c & 1]
-        scale = nu if weighting == "sum" else 1.0 / max(len(members), 1)
-        model = phi_t + scale * sum((deltas[c] for c in members), np.zeros(d))
-        expected = v_ref - losses.mean_loss(losses.SQUARED, model, test.features, test.labels)
-        assert abs(ctx.value(key) - expected) <= 1e-12, members
+    _check_every_subset_against_its_candidate_model(losses.SQUARED, n_test, m, d,
+                                                    weighting, nu)
+
+
+@pytest.mark.parametrize("weighting,nu", [("mean", 1.0), ("sum", 0.3)])
+def test_logistic_value_on_the_folded_margins_matches_the_candidate_model(weighting, nu):
+    # a logistic context scores the candidate's margins, the labels folded
+    # into its score columns when it is built
+    _check_every_subset_against_its_candidate_model(losses.LOGISTIC, 2000, 10, 20,
+                                                    weighting, nu)
 
 
 @pytest.mark.parametrize("eps", [0.0, 0.05])
