@@ -8,6 +8,7 @@ two runs with the same seeds produce identical partitions and views.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -241,15 +242,60 @@ def train_test_split(dataset: Dataset, test_fraction: float,
     return dataset.take(np.sort(order[n_test:])), dataset.take(np.sort(order[:n_test]))
 
 
+# ASCII separators: np.loadtxt strips them from a cell as blank space, float() rejects them
+_LOADTXT_BLANKS = "\x1c\x1d\x1e\x1f"
+
+
 def load_csv(path: str | Path, header: bool = False) -> Dataset:
-    """Read `label,feature...` rows; the label column holds -1 or +1 literals."""
-    rows = []
+    """Read `label,feature...` rows; the label column holds -1 or +1 literals.
+
+    Each ``\\n``-ended line is one row (a CRLF line's ``\\r`` is blank space
+    to its last cell).  numpy's C reader parses a well-formed file; any
+    other file goes through :func:`_table_from_lines`, which gives the same
+    table or raises an error that names the first faulty ``path:line``.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = fh.read().split("\n")
+        text = fh.read()
+    lines = _data_lines(text, header)
+    table = _table_from_loadtxt(text, lines)
+    if table is None:
+        table = _table_from_lines(path, lines, header)
+    return Dataset(table[:, 1:], table[:, 0])
+
+
+def _data_lines(text: str, header: bool) -> list[str]:
+    """The file's data lines: split at ``\\n`` only, header dropped."""
+    lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
-    if header and lines:
-        lines = lines[1:]
+    return lines[1:] if header else lines
+
+
+def _table_from_loadtxt(text: str, lines: list[str]) -> np.ndarray | None:
+    """The lines parsed by ``np.loadtxt``, or None where it may differ from the loop.
+
+    ``loadtxt`` skips blank lines, where the loop raises, so a table is kept
+    only with one row per line.  A cell ``float()`` takes and ``loadtxt``
+    does not (``1_0``, non-ASCII digits) raises here and goes to the loop.
+    """
+    if not lines or any(sep in text for sep in _LOADTXT_BLANKS):
+        return None
+    try:
+        with warnings.catch_warnings():
+            # lines that are all blank give "input contained no data"
+            warnings.simplefilter("ignore", UserWarning)
+            table = np.loadtxt(lines, delimiter=",", dtype=np.float64, ndmin=2,
+                               comments=None)
+    except ValueError:
+        return None
+    if table.shape[0] != len(lines) or table.shape[1] < 2:
+        return None
+    return table
+
+
+def _table_from_lines(path: str | Path, lines: list[str], header: bool) -> np.ndarray:
+    """The lines parsed one by one with ``float()``; a fault names its line."""
+    rows = []
     for lineno, line in enumerate(lines, start=2 if header else 1):
         cells = line.split(",")
         if len(cells) < 2:
@@ -258,13 +304,12 @@ def load_csv(path: str | Path, header: bool = False) -> Dataset:
             rows.append([float(c) for c in cells])
         except ValueError as err:
             raise ValueError(f"{path}:{lineno}: {err}") from None
+        if len(cells) != len(rows[0]):
+            raise ValueError(f"{path}:{lineno}: {len(cells)} columns, expected "
+                             f"{len(rows[0])} as on the first row")
     if not rows:
         raise ValueError(f"{path}: no rows")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise ValueError(f"{path}: rows have inconsistent column counts")
-    arr = np.asarray(rows, dtype=np.float64)
-    return Dataset(arr[:, 1:], arr[:, 0])
+    return np.asarray(rows, dtype=np.float64)
 
 
 def save_csv(dataset: Dataset, path: str | Path) -> None:

@@ -282,18 +282,33 @@ DEFAULT_REPORT_COLUMNS = ("round", "test_accuracy", "test_loss", "duality_gap",
                           "budget_remaining")
 
 
+# round-record fields that hold a per-client mapping, not one value or list
+MAPPING_FIELDS = ("contributions",)
+
+
 def render_table(records: list[dict], columns=DEFAULT_REPORT_COLUMNS,
                  gnuplot: bool = False) -> str:
-    """Plain-text table of per-round records; gnuplot mode emits bare columns."""
+    """Plain-text table of per-round records; gnuplot mode emits bare columns.
+
+    In gnuplot mode each cell is one field without spaces: a list is joined
+    with commas, or is ``-`` when empty, and a mapping column is refused
+    with a ConfigError.
+    """
     rows = [r for r in records if r.get("record") == "round"]
 
     def cell(r, c):
         v = r.get(c)
         if isinstance(v, float):
             return f"{v:.6g}"
+        if gnuplot and isinstance(v, list):
+            return ",".join(map(str, v)) or "-"
         return str(v)
 
     if gnuplot:
+        mapped = [c for c in columns if c in MAPPING_FIELDS]
+        if mapped:
+            raise ConfigError(f"gnuplot mode cannot print column {mapped[0]!r}: "
+                              "it maps client ids to values")
         lines = ["# " + " ".join(columns)]
         lines += [" ".join(cell(r, c) for c in columns) for r in rows]
         return "\n".join(lines) + "\n"

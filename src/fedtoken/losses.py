@@ -14,8 +14,6 @@ binary entropy ``-[s log s + (1-s) log(1-s)]`` of ``s = a*y``, defined on
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 SQUARED = "squared"
@@ -31,15 +29,6 @@ def check_kind(kind: str) -> str:
     if kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss kind {kind!r}")
     return kind
-
-
-def loss_values(kind: str, scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Vector of per-sample losses at margin scores."""
-    if kind == SQUARED:
-        return 0.5 * (scores - labels) ** 2
-    if kind == LOGISTIC:
-        return _softplus(-labels * scores)
-    raise ValueError(f"unknown loss kind {kind!r}")
 
 
 def mean_loss(kind: str, w: np.ndarray, features: np.ndarray,
@@ -95,11 +84,3 @@ def conjugate(kind: str, alpha: np.ndarray, labels: np.ndarray) -> np.ndarray:
         return -(s * np.log(np.where(s > 0.0, s, 1.0))
                  + t * np.log(np.where(t > 0.0, t, 1.0)))
     raise ValueError(f"unknown loss kind {kind!r}")
-
-
-def feasible_interval(kind: str, y_i: float) -> tuple[float, float]:
-    """Admissible range for a dual coordinate with label y_i."""
-    if kind == SQUARED:
-        return (-math.inf, math.inf)
-    lo, hi = 0.0, y_i  # alpha*y in [0, 1]
-    return (min(lo, hi), max(lo, hi))

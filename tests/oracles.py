@@ -78,10 +78,27 @@ def exact_shapley(ctx, participants: Sequence[int]) -> ContributionVector:
     return ContributionVector(u=u, permutations_used=fact(m))
 
 
+def loss_values(kind: str, scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Vector of per-sample losses at margin scores."""
+    if kind == losses.SQUARED:
+        return 0.5 * (scores - labels) ** 2
+    if kind == losses.LOGISTIC:
+        return losses._softplus(-labels * scores)
+    raise ValueError(f"unknown loss kind {kind!r}")
+
+
+def feasible_interval(kind: str, y_i: float) -> tuple[float, float]:
+    """Admissible range for a dual coordinate with label y_i."""
+    if kind == losses.SQUARED:
+        return (-math.inf, math.inf)
+    lo, hi = 0.0, y_i  # alpha*y in [0, 1]
+    return (min(lo, hi), max(lo, hi))
+
+
 def is_feasible(kind: str, alpha: np.ndarray, labels: np.ndarray,
                 tol: float = 1e-12) -> bool:
     """Whether every coordinate lies in its feasible interval, up to tol."""
-    lo, hi = np.array([losses.feasible_interval(kind, float(y)) for y in labels]).T
+    lo, hi = np.array([feasible_interval(kind, float(y)) for y in labels]).T
     return bool(np.all((lo - tol <= alpha) & (alpha <= hi + tol)))
 
 

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedtoken import data
 from fedtoken.data import (ClientPartition, Dataset, InfeasiblePartitionError,
                            PartitionScheme, load_csv, partition, poison_labels,
                            save_csv, synth_gaussian, train_test_split)
@@ -160,7 +163,12 @@ def test_dataset_rejects_non_finite_features(tmp_path):
 def test_csv_rejects_ragged_rows(tmp_path):
     path = tmp_path / "ragged.csv"
     path.write_text("+1,0.5,0.25\n-1,0.75\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="column"):
+    with pytest.raises(ValueError, match="column") as err:
+        load_csv(path)
+    assert str(err.value) == f"{path}:2: 2 columns, expected 3 as on the first row"
+    # the first ragged line is named, ahead of a bad cell further down
+    path.write_text("+1,0.5\n-1,0.75\n+1,0.5,0.25\n-1,abc\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=":3: 3 columns, expected 2 as on the first row"):
         load_csv(path)
 
 
@@ -176,3 +184,109 @@ def test_csv_rejects_non_binary_labels(tmp_path):
     path.write_text("0,1.0\n", encoding="utf-8")
     with pytest.raises(ValueError, match="labels"):
         load_csv(path)
+
+
+def _csv_outcome(load):
+    """What loading gives: the dataset's shape and bits, or the error's type and text.
+
+    A warning fails the test: loading warns of nothing.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ds = load()
+    except ValueError as err:  # UnicodeDecodeError is a ValueError
+        return type(err).__name__, str(err)
+    return ds.features.shape, ds.features.tobytes(), ds.labels.tobytes()
+
+
+def _load_by_line_loop(path, header):
+    """``load_csv`` with the ``np.loadtxt`` parse left out."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        text = fh.read()
+    table = data._table_from_lines(path, data._data_lines(text, header), header)
+    return Dataset(table[:, 1:], table[:, 0])
+
+
+# file bytes, header flag, outcome, and whether np.loadtxt parses the file.
+# An outcome is the label-and-features table the file loads to, or the full
+# text of the error it raises with {path} for the file.
+CSV_CASES = {
+    "crlf": (b"+1,0.5,-2\r\n-1,0.25,3e-5\r\n", False,
+             [[1, 0.5, -2], [-1, 0.25, 3e-5]], True),
+    "header": (b"label,f0\n+1,0.5\n-1,-0.25\n", True, [[1, 0.5], [-1, -0.25]], True),
+    "header-only": (b"label,f0\n", True, "{path}: no rows", False),
+    "single-row": (b"-1,0.1,2e3", False, [[-1, 0.1, 2000]], True),
+    "blank-line": (b"+1,0.5\n\n-1,0.25\n", False,
+                   "{path}:2: expected label plus features", False),
+    "two-trailing-newlines": (b"+1,0.5\n-1,0.25\n\n", False,
+                              "{path}:3: expected label plus features", False),
+    "whitespace-line": (b"+1,0.5\n \t\n-1,0.25\n", False,
+                        "{path}:2: expected label plus features", False),
+    "comment-line": (b"# label,f0\n+1,0.5\n", False,
+                     "{path}:1: could not convert string to float: '# label'", False),
+    "trailing-comma": (b"+1,0.5,\n", False,
+                       "{path}:1: could not convert string to float: ''", False),
+    "one-column-row": (b"+1,0.5\n-1\n", False,
+                       "{path}:2: expected label plus features", False),
+    "one-column-file": (b"+1\n-1\n", False, "{path}:1: expected label plus features", False),
+    "blank-file": (b"\n", False, "{path}:1: expected label plus features", False),
+    "underscore": (b"+1,1_0\n-1,0.25\n", False, [[1, 10], [-1, 0.25]], False),
+    "nan": (b"+1,0.5\n-1,nan\n", False, "features must be finite", True),
+    "inf": (b"+1,inf\n-1,0.25\n", False, "features must be finite", True),
+    "non-utf8": (b"+1,0.5\n-1,\xff\n", False,
+                 "'utf-8' codec can't decode byte 0xff in position 10: invalid start byte",
+                 None),
+    # a lone \r ends a line for np.loadtxt's path and universal-newline
+    # readers, but not for the loop
+    "lone-cr": (b"+1,0.5\r-1,0.25\n\n", False,
+                "{path}:1: could not convert string to float: '0.5\\r-1'", False),
+    # np.loadtxt strips the ASCII separators \x1c-\x1f as blank space
+    "separator": (b"+1,\x1c0.5\n", False,
+                  "{path}:1: could not convert string to float: '\\x1c0.5'", False),
+}
+
+
+@pytest.mark.parametrize("raw, header, expected, fast", CSV_CASES.values(),
+                         ids=CSV_CASES.keys())
+def test_csv_loads_as_the_line_loop_does(tmp_path, monkeypatch, raw, header, expected,
+                                         fast):
+    path = tmp_path / "data.csv"
+    path.write_bytes(raw)
+    got = _csv_outcome(lambda: load_csv(path, header=header))
+    assert got == _csv_outcome(lambda: _load_by_line_loop(path, header))
+    if isinstance(expected, str):
+        assert got[1] == expected.format(path=path)
+    else:
+        table = np.array(expected, dtype=np.float64)
+        assert got == (table[:, 1:].shape, table[:, 1:].tobytes(), table[:, 0].tobytes())
+    if fast is not None:
+        text = raw.decode("utf-8")
+        parsed = data._table_from_loadtxt(text, data._data_lines(text, header))
+        assert (parsed is not None) == fast
+    if fast:
+        # a file np.loadtxt reads never reaches the line loop
+        monkeypatch.setattr(data, "_table_from_lines", None)
+        assert _csv_outcome(lambda: load_csv(path, header=header)) == got
+
+
+CSV_CELLS = ("+1", "-1", "0.5", "-2.5e-3", "1e999", "4.9406564584124654e-324", "nan",
+             "-Infinity", "1_0", "\u0661", "", " ", " 7\t", "\xa08", "#", "0x1", "1 2",
+             "\r", "\x1c1", "\x0b9")
+
+
+# two float draws to one odd cell, so that some files are well formed
+CSV_CELL = st.one_of(st.floats().map(repr), st.floats().map(repr), st.sampled_from(CSV_CELLS))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.lists(CSV_CELL, min_size=1, max_size=4),
+                          st.sampled_from(["\n", "\n", "\r\n", "\r", "\n\n", ""])),
+                max_size=4),
+       st.booleans())
+def test_csv_load_matches_the_line_loop_on_any_text(tmp_path_factory, rows, header):
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    path.write_text("".join(",".join(cells) + end for cells, end in rows),
+                    encoding="utf-8", newline="")
+    assert (_csv_outcome(lambda: load_csv(path, header=header))
+            == _csv_outcome(lambda: _load_by_line_loop(path, header)))

@@ -10,8 +10,8 @@ from fedtoken.dual import (Cohort, GlobalModel, Hyperparams, _solve_logistic, co
                            dual_objective, duality_gap, load_model, local_solve,
                            phi_of_alpha, primal_objective, save_model, upload_size)
 from fedtoken.rng import RngStream
-from oracles import (coordinate_value, is_feasible, local_gain, logit_residual,
-                     reference_solve_logistic, scalar_local_solve)
+from oracles import (coordinate_value, feasible_interval, is_feasible, local_gain,
+                     logit_residual, reference_solve_logistic, scalar_local_solve)
 
 
 def solve_one(part, *args):
@@ -33,7 +33,7 @@ def _random_feasible_state(ds, loss, seed):
     gen = np.random.Generator(np.random.PCG64(seed))
     alpha = np.zeros(len(ds))
     for i in range(len(ds)):
-        lo, hi = losses.feasible_interval(loss, float(ds.labels[i]))
+        lo, hi = feasible_interval(loss, float(ds.labels[i]))
         if loss == losses.SQUARED:
             alpha[i] = float(gen.normal(scale=0.5))
         else:
@@ -95,7 +95,7 @@ def test_logistic_scalar_derivative_matches_finite_difference():
     while checked < 100:
         y = 1.0 if gen.random() < 0.5 else -1.0
         alpha = float(gen.uniform(0.05, 0.95)) * y
-        lo, hi = losses.feasible_interval(losses.LOGISTIC, y)
+        lo, hi = feasible_interval(losses.LOGISTIC, y)
         r = float(gen.uniform(lo - alpha + h * 4, hi - alpha - h * 4))
         base = float(gen.normal())
         qcoef = float(gen.uniform(0.0, 5.0))

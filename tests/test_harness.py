@@ -3,7 +3,8 @@ import json
 import numpy as np
 
 from fedtoken import cli
-from fedtoken.config import ConfigError, ExperimentConfig, save_config, validate
+from fedtoken.config import (ConfigError, ExperimentConfig, save_config, validate,
+                             with_overrides)
 from fedtoken.data import load_csv
 from fedtoken.dual import load_model
 import pytest
@@ -150,11 +151,16 @@ def test_csv_source_run_round_trips(tmp_path):
     ds = synth_gaussian(80, 3, 3.0, RngStream(1, purpose="synth-data"))
     csv_path = tmp_path / "data.csv"
     save_csv(ds, csv_path)
-    cfg = make_cfg(rounds=2, data_source="csv", csv_path=str(csv_path),
+    cfg = make_cfg(seed=1, rounds=2, data_source="csv", csv_path=str(csv_path),
                    n_clients=4, quota=2, n_samples=80, dim=3)
     res = run(cfg, tmp_path / "out")
     assert res.summary["rounds_executed"] == 2
     assert len(res.state.train) + len(res.state.test) == 80
+    # the synthetic source with the run's seed draws the data the CSV holds,
+    # so the two runs are the same to the byte
+    run(with_overrides(cfg, data_source="synthetic"), tmp_path / "synth")
+    for name in ("metrics.jsonl", "ledger.ftlg", "model.bin", "summary.json"):
+        assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "synth" / name).read_bytes()
 
 
 def test_sweep_query_counts_increase_with_delta(tmp_path):
@@ -269,6 +275,17 @@ def test_cli_run_and_report(tmp_path, capsys):
                      "--columns", "round,test_loss"]) == 0
     gp = capsys.readouterr().out
     assert gp.startswith("# round test_loss")
+    assert cli.main(["report", str(out_dir / "metrics.jsonl"), "--gnuplot",
+                     "--columns", "round,selected"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rounds = [r for r in read_metrics(out_dir / "metrics.jsonl") if r["record"] == "round"]
+    assert lines == ["# round selected"] + [
+        f"{r['round']} {','.join(map(str, r['selected']))}" for r in rounds]
+    assert all(len(r["selected"]) == 3 for r in rounds)
+    assert cli.main(["report", str(out_dir / "metrics.jsonl"), "--gnuplot",
+                     "--columns", "round,contributions"]) == 1
+    captured = capsys.readouterr()
+    assert "'contributions'" in captured.err and captured.out == ""
 
 
 def test_cli_ledger_commands(tmp_path, capsys):
@@ -380,7 +397,8 @@ def test_cli_rejects_a_csv_with_fewer_training_rows_than_clients(tmp_path, capsy
     ("+1,0.5\n-1,nan\n", "features must be finite"),
     ("+1,0.5\n+2,0.25\n", "labels must be -1 or +1"),
     ("", "no rows"),
-], ids=["non-numeric", "nan", "label", "empty"])
+    ("+1,0.5,0.25\n-1,0.75\n", ":2: 2 columns, expected 3"),
+], ids=["non-numeric", "nan", "label", "empty", "ragged"])
 def test_cli_rejects_malformed_csv_content(tmp_path, capsys, text, reason):
     data = tmp_path / "bad.csv"
     data.write_text(text, encoding="utf-8")

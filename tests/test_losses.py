@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fedtoken import losses
+from oracles import feasible_interval, loss_values
 
 
 def test_squared_conjugate_at_origin_is_zero():
@@ -57,7 +58,7 @@ def test_logistic_conjugate_over_arrays():
 
 @given(st.floats(-30.0, 30.0), st.sampled_from([-1.0, 1.0]))
 def test_logistic_loss_is_stable_and_positive(z, y):
-    val = losses.loss_values(losses.LOGISTIC, np.array([z]), np.array([y]))[0]
+    val = loss_values(losses.LOGISTIC, np.array([z]), np.array([y]))[0]
     assert np.isfinite(val) and val >= 0.0
 
 
@@ -65,7 +66,7 @@ def test_logistic_kernel_matches_logaddexp_at_extreme_margins():
     margins = np.concatenate([[-1e4, -700.0, 700.0, 1e4], np.linspace(-40.0, 40.0, 801)])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        got = losses.loss_values(losses.LOGISTIC, margins, -np.ones_like(margins))
+        got = loss_values(losses.LOGISTIC, margins, -np.ones_like(margins))
     assert np.all(np.isfinite(got))
     np.testing.assert_allclose(got, np.logaddexp(0.0, margins), rtol=1e-15, atol=0.0)
 
@@ -99,7 +100,7 @@ def test_folded_margin_mean_loss_matches_the_labelled_one_to_the_bit(n, seed, ex
         warnings.simplefilter("error", RuntimeWarning)
         labelled = losses.mean_loss(losses.LOGISTIC, w, features, labels)
         folded = losses.mean_loss(losses.LOGISTIC, w, features * -labels[:, None], None)
-        values = losses.loss_values(losses.LOGISTIC, features @ w, labels)
+        values = loss_values(losses.LOGISTIC, features @ w, labels)
     assert folded.hex() == labelled.hex()
     assert labelled.hex() == float(values.sum() / n).hex()
 
@@ -112,12 +113,12 @@ def test_squared_mean_loss_matches_the_mean_of_the_loss_values(n):
         labels = gen.choice([-1.0, 1.0], n)
         w = gen.standard_normal(7)
         got = losses.mean_loss(losses.SQUARED, w, features, labels)
-        want = losses.loss_values(losses.SQUARED, features @ w, labels).mean()
+        want = loss_values(losses.SQUARED, features @ w, labels).mean()
         assert abs(got - want) <= 1e-15 * want, (spread, got, want)
 
 
 def test_feasible_interval():
-    assert losses.feasible_interval(losses.LOGISTIC, 1.0) == (0.0, 1.0)
-    assert losses.feasible_interval(losses.LOGISTIC, -1.0) == (-1.0, 0.0)
-    lo, hi = losses.feasible_interval(losses.SQUARED, 1.0)
+    assert feasible_interval(losses.LOGISTIC, 1.0) == (0.0, 1.0)
+    assert feasible_interval(losses.LOGISTIC, -1.0) == (-1.0, 0.0)
+    lo, hi = feasible_interval(losses.SQUARED, 1.0)
     assert lo == -math.inf and hi == math.inf
