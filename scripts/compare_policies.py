@@ -41,7 +41,7 @@ def same_label_poison_pair(seed: int, csv_path: Path) -> tuple[int, ...]:
     train, _ = train_test_split(full, 0.5, RngStream(seed, purpose="train-test-split"))
     parts = partition(train, 10, PartitionScheme("label-shards", seed=seed, shards_k=1))
     pure_positive = [p.client_id for p in parts
-                     if np.all(train.labels[list(p.sample_indices)] > 0)]
+                     if np.all(train.labels[p.sample_indices] > 0)]
     return tuple(pure_positive[:2])
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 from . import ledger, losses, scheduler, tokenomics, valuation
@@ -17,77 +17,6 @@ from .data import VALID_SCHEMES, split_sizes
 
 class ConfigError(ValueError):
     """Invalid, unknown, or inconsistent configuration entry."""
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    # run
-    seed: int
-    aggregation: str = scheduler.FEDTOKEN
-    target_accuracy: float = 0.7
-    # data
-    data_source: str = "synthetic"
-    csv_path: str = ""
-    csv_header: bool = False
-    n_samples: int = 400
-    dim: int = 5
-    separation: float = 3.0
-    test_fraction: float = 0.25
-    partition_scheme: str = "iid"
-    shards_k: int = 2
-    dirichlet_beta: float = 0.5
-    # learning
-    loss: str = losses.LOGISTIC
-    lam: float = 0.01
-    nu: float | str = "auto"
-    local_passes: int = 1
-    # federation
-    n_clients: int = 100
-    m_fraction: float = 0.1
-    quota: int | None = None
-    quota_ratio: float | None = None
-    rounds: int = 50
-    # valuation
-    delta: int = 4
-    eps: float = 0.0
-    weighting: str = valuation.MEAN_WEIGHTING
-    # attack
-    poison_clients: tuple[int, ...] = ()
-    flip_fraction: float = 1.0
-    # tokens
-    total_tokens: int = 1000
-    per_round_microtokens: int | None = None
-    participation_base_microtokens: int | None = None
-    allocation: str = tokenomics.PROPORTIONAL_FAIR
-    zeta: float = 0.7
-    participation_for_selected: bool = False
-
-    @property
-    def cohort_size(self) -> int:
-        return max(1, math.ceil(self.m_fraction * self.n_clients))
-
-    @property
-    def resolved_quota(self) -> int:
-        if self.quota is not None:
-            return self.quota
-        ratio = 0.5 if self.quota_ratio is None else self.quota_ratio
-        return max(1, math.ceil(ratio * self.cohort_size))
-
-    @property
-    def total_microtokens(self) -> int:
-        return self.total_tokens * 10**6
-
-    @property
-    def resolved_per_round_microtokens(self) -> int:
-        if self.per_round_microtokens is not None:
-            return self.per_round_microtokens
-        return self.total_microtokens // max(self.rounds, 1)
-
-    @property
-    def resolved_participation_base(self) -> int:
-        if self.participation_base_microtokens is not None:
-            return self.participation_base_microtokens
-        return self.resolved_per_round_microtokens // 100
 
 
 def _parse_bool(raw: str) -> bool:
@@ -127,60 +56,93 @@ def _parse_opt_float(raw: str):
     return float(raw)
 
 
-# section -> file key -> (dataclass field, parser)
-_SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
-    "run": {
-        "seed": ("seed", int),
-        "aggregation": ("aggregation", str.strip),
-        "target_accuracy": ("target_accuracy", float),
-    },
-    "data": {
-        "source": ("data_source", str.strip),
-        "csv_path": ("csv_path", str.strip),
-        "csv_header": ("csv_header", _parse_bool),
-        "n_samples": ("n_samples", int),
-        "dim": ("dim", int),
-        "separation": ("separation", float),
-        "test_fraction": ("test_fraction", float),
-        "partition": ("partition_scheme", str.strip),
-        "shards_k": ("shards_k", int),
-        "dirichlet_beta": ("dirichlet_beta", float),
-    },
-    "learning": {
-        "loss": ("loss", str.strip),
-        "lambda": ("lam", float),
-        "nu": ("nu", _parse_nu),
-        "local_passes": ("local_passes", int),
-    },
-    "federation": {
-        "n_clients": ("n_clients", int),
-        "m_fraction": ("m_fraction", float),
-        "quota": ("quota", _parse_opt_int),
-        "quota_ratio": ("quota_ratio", _parse_opt_float),
-        "rounds": ("rounds", int),
-    },
-    "valuation": {
-        "delta": ("delta", int),
-        "eps": ("eps", float),
-        "weighting": ("weighting", str.strip),
-    },
-    "attack": {
-        "poison_clients": ("poison_clients", _parse_ids),
-        "flip_fraction": ("flip_fraction", float),
-    },
-    "tokens": {
-        "total_tokens": ("total_tokens", int),
-        "per_round_microtokens": ("per_round_microtokens", _parse_opt_int),
-        "participation_base_microtokens": ("participation_base_microtokens", _parse_opt_int),
-        "allocation": ("allocation", str.strip),
-        "zeta": ("zeta", float),
-        "participation_for_selected": ("participation_for_selected", _parse_bool),
-    },
-}
+def _key(section: str, key: str, parse, default=MISSING):
+    """A config field that the file sets as ``key`` in ``[section]``, read by ``parse``."""
+    return field(default=default, metadata={"section": section, "key": key, "parse": parse})
 
-_FIELD_TO_KEY = {spec[0]: (section, key)
-                 for section, keys in _SCHEMA.items()
-                 for key, spec in keys.items()}
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    # run
+    seed: int = _key("run", "seed", int)
+    aggregation: str = _key("run", "aggregation", str.strip, scheduler.FEDTOKEN)
+    target_accuracy: float = _key("run", "target_accuracy", float, 0.7)
+    # data
+    data_source: str = _key("data", "source", str.strip, "synthetic")
+    csv_path: str = _key("data", "csv_path", str.strip, "")
+    csv_header: bool = _key("data", "csv_header", _parse_bool, False)
+    n_samples: int = _key("data", "n_samples", int, 400)
+    dim: int = _key("data", "dim", int, 5)
+    separation: float = _key("data", "separation", float, 3.0)
+    test_fraction: float = _key("data", "test_fraction", float, 0.25)
+    partition_scheme: str = _key("data", "partition", str.strip, "iid")
+    shards_k: int = _key("data", "shards_k", int, 2)
+    dirichlet_beta: float = _key("data", "dirichlet_beta", float, 0.5)
+    # learning
+    loss: str = _key("learning", "loss", str.strip, losses.LOGISTIC)
+    lam: float = _key("learning", "lambda", float, 0.01)
+    nu: float | str = _key("learning", "nu", _parse_nu, "auto")
+    local_passes: int = _key("learning", "local_passes", int, 1)
+    # federation
+    n_clients: int = _key("federation", "n_clients", int, 100)
+    m_fraction: float = _key("federation", "m_fraction", float, 0.1)
+    quota: int | None = _key("federation", "quota", _parse_opt_int, None)
+    quota_ratio: float | None = _key("federation", "quota_ratio", _parse_opt_float, None)
+    rounds: int = _key("federation", "rounds", int, 50)
+    # valuation
+    delta: int = _key("valuation", "delta", int, 4)
+    eps: float = _key("valuation", "eps", float, 0.0)
+    weighting: str = _key("valuation", "weighting", str.strip, valuation.MEAN_WEIGHTING)
+    # attack
+    poison_clients: tuple[int, ...] = _key("attack", "poison_clients", _parse_ids, ())
+    flip_fraction: float = _key("attack", "flip_fraction", float, 1.0)
+    # tokens
+    total_tokens: int = _key("tokens", "total_tokens", int, 1000)
+    per_round_microtokens: int | None = _key("tokens", "per_round_microtokens",
+                                             _parse_opt_int, None)
+    participation_base_microtokens: int | None = _key(
+        "tokens", "participation_base_microtokens", _parse_opt_int, None)
+    allocation: str = _key("tokens", "allocation", str.strip, tokenomics.PROPORTIONAL_FAIR)
+    zeta: float = _key("tokens", "zeta", float, 0.7)
+    participation_for_selected: bool = _key("tokens", "participation_for_selected",
+                                            _parse_bool, False)
+
+    @property
+    def cohort_size(self) -> int:
+        return max(1, math.ceil(self.m_fraction * self.n_clients))
+
+    @property
+    def resolved_quota(self) -> int:
+        if self.quota is not None:
+            return self.quota
+        ratio = 0.5 if self.quota_ratio is None else self.quota_ratio
+        return max(1, math.ceil(ratio * self.cohort_size))
+
+    @property
+    def total_microtokens(self) -> int:
+        return self.total_tokens * 10**6
+
+    @property
+    def resolved_per_round_microtokens(self) -> int:
+        if self.per_round_microtokens is not None:
+            return self.per_round_microtokens
+        return self.total_microtokens // max(self.rounds, 1)
+
+    @property
+    def resolved_participation_base(self) -> int:
+        if self.participation_base_microtokens is not None:
+            return self.participation_base_microtokens
+        return self.resolved_per_round_microtokens // 100
+
+
+# section -> file key -> (dataclass field, parser), in field order
+_SCHEMA: dict[str, dict[str, tuple[str, object]]] = {}
+for _f in fields(ExperimentConfig):
+    _SCHEMA.setdefault(_f.metadata["section"], {})[_f.metadata["key"]] = (
+        _f.name, _f.metadata["parse"])
+
+_FIELD_TO_KEY = {f.name: (f.metadata["section"], f.metadata["key"])
+                 for f in fields(ExperimentConfig)}
 
 
 def validate(cfg: ExperimentConfig) -> ExperimentConfig:

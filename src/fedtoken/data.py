@@ -9,7 +9,7 @@ two runs with the same seeds produce identical partitions and views.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -57,20 +57,22 @@ class Dataset:
         return Dataset(self.features[indices], self.labels[indices])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClientPartition:
     client_id: int
-    sample_indices: tuple[int, ...]
-    # the same indices as an intp array, built once for fancy indexing
-    rows: np.ndarray = field(init=False, repr=False, compare=False)
+    # the client's rows of the dataset: a read-only intp copy, in the caller's order
+    sample_indices: np.ndarray
 
     def __post_init__(self):
-        if len(set(self.sample_indices)) != len(self.sample_indices):
+        rows = np.array(self.sample_indices, dtype=np.intp)
+        # not np.unique: with no return_* flag, its first call imports numpy.ma (8-11 ms)
+        if len(set(rows.tolist())) != rows.shape[0]:
             raise ValueError("partition indices must be unique")
-        object.__setattr__(self, "rows", np.asarray(self.sample_indices, dtype=np.intp))
+        rows.flags.writeable = False
+        object.__setattr__(self, "sample_indices", rows)
 
     def __len__(self) -> int:
-        return len(self.sample_indices)
+        return self.sample_indices.shape[0]
 
 
 @dataclass(frozen=True)
@@ -89,48 +91,28 @@ class PartitionScheme:
             raise ValueError("dirichlet_beta must be > 0")
 
 
-def _even_chunk_sizes(total: int, parts: int) -> list[int]:
-    base, extra = divmod(total, parts)
-    return [base + (1 if i < extra else 0) for i in range(parts)]
+def _partition_iid(n: int, n_clients: int, gen: np.random.Generator) -> list[np.ndarray]:
+    # array_split gives the first n % n_clients chunks one row more
+    return [np.sort(chunk) for chunk in np.array_split(gen.permutation(n), n_clients)]
 
-
-def _partition_iid(n: int, n_clients: int, gen: np.random.Generator) -> list[list[int]]:
-    order = gen.permutation(n)
-    sizes = _even_chunk_sizes(n, n_clients)
-    out, pos = [], 0
-    for size in sizes:
-        out.append(np.sort(order[pos:pos + size]).tolist())
-        pos += size
-    return out
 
 def _partition_label_shards(labels: np.ndarray, n_clients: int, k: int,
-                            gen: np.random.Generator) -> list[list[int]]:
+                            gen: np.random.Generator) -> list[np.ndarray]:
     # Shards are carved within a single label so that a client holding k
     # shards sees at most k distinct labels.
-    values = sorted(float(v) for v in np.unique(labels))
-    n = labels.shape[0]
+    values, counts = np.unique(labels, return_counts=True)
     n_shards = n_clients * k
     if n_shards < len(values):
         raise InfeasiblePartitionError(
             f"label-shards({k}) with {n_clients} clients cannot cover {len(values)} labels")
-    counts = {v: int(np.sum(labels == v)) for v in values}
-    shard_counts = _proportional_counts([counts[v] for v in values], n_shards)
-    shards: list[list[int]] = []
+    shard_counts = _proportional_counts(counts.tolist(), n_shards)
+    shards: list[np.ndarray] = []
     for v, n_label_shards in zip(values, shard_counts):
-        idx = np.flatnonzero(labels == v)
-        idx = idx[gen.permutation(idx.shape[0])]
-        pos = 0
-        for size in _even_chunk_sizes(idx.shape[0], n_label_shards):
-            shards.append([int(i) for i in idx[pos:pos + size]])
-            pos += size
+        shards.extend(np.array_split(gen.permutation(np.flatnonzero(labels == v)),
+                                     n_label_shards))
     order = gen.permutation(len(shards))
-    out = []
-    for c in range(n_clients):
-        merged: list[int] = []
-        for s in order[c * k:(c + 1) * k]:
-            merged.extend(shards[s])
-        out.append(sorted(merged))
-    return out
+    return [np.sort(np.concatenate([shards[s] for s in order[c * k:(c + 1) * k]]))
+            for c in range(n_clients)]
 
 
 def _proportional_counts(sizes: list[int], total_parts: int) -> list[int]:
@@ -145,19 +127,15 @@ def _proportional_counts(sizes: list[int], total_parts: int) -> list[int]:
 
 
 def _partition_dirichlet(labels: np.ndarray, n_clients: int, beta: float,
-                         gen: np.random.Generator) -> list[list[int]]:
-    out: list[list[int]] = [[] for _ in range(n_clients)]
-    for v in sorted(float(v) for v in np.unique(labels)):
-        idx = np.flatnonzero(labels == v)
-        idx = idx[gen.permutation(idx.shape[0])]
+                         gen: np.random.Generator) -> list[np.ndarray]:
+    pieces: list[list[np.ndarray]] = []  # pieces[v][c]: client c's rows of label v
+    for v in sorted(set(labels.tolist())):
+        idx = gen.permutation(np.flatnonzero(labels == v))
         props = gen.dirichlet(np.full(n_clients, beta))
         cuts = np.floor(np.cumsum(props) * idx.shape[0]).astype(int)
-        cuts[-1] = idx.shape[0]
-        pos = 0
-        for c in range(n_clients):
-            out[c].extend(int(i) for i in idx[pos:cuts[c]])
-            pos = cuts[c]
-    return [sorted(part) for part in out]
+        # the cuts never decrease; the last client takes the rest of the label
+        pieces.append(np.split(idx, cuts[:-1]))
+    return [np.sort(np.concatenate(part)) for part in zip(*pieces)]
 
 
 def partition(dataset: Dataset, n_clients: int, scheme: PartitionScheme) -> list[ClientPartition]:
@@ -172,7 +150,7 @@ def partition(dataset: Dataset, n_clients: int, scheme: PartitionScheme) -> list
         raise InfeasiblePartitionError(
             f"cannot split {len(dataset)} samples across {n_clients} clients")
     if n_clients == 1:
-        return [ClientPartition(0, tuple(range(len(dataset))))]
+        return [ClientPartition(0, np.arange(len(dataset)))]
     gen = RngStream(scheme.seed, purpose=f"partition-{scheme.kind}").generator()
     if scheme.kind == "iid":
         parts = _partition_iid(len(dataset), n_clients, gen)
@@ -180,7 +158,7 @@ def partition(dataset: Dataset, n_clients: int, scheme: PartitionScheme) -> list
         parts = _partition_label_shards(dataset.labels, n_clients, scheme.shards_k, gen)
     else:
         parts = _partition_dirichlet(dataset.labels, n_clients, scheme.dirichlet_beta, gen)
-    return [ClientPartition(c, tuple(p)) for c, p in enumerate(parts)]
+    return [ClientPartition(c, p) for c, p in enumerate(parts)]
 
 
 def poison_labels(part: ClientPartition, dataset: Dataset, flip_fraction: float,
@@ -197,7 +175,7 @@ def poison_labels(part: ClientPartition, dataset: Dataset, flip_fraction: float,
     if n_flip > 0:
         gen = stream.generator()
         chosen = gen.choice(len(part), size=n_flip, replace=False)
-        flip_idx = part.rows[np.sort(chosen)]
+        flip_idx = part.sample_indices[np.sort(chosen)]
         labels[flip_idx] = -labels[flip_idx]
     return dataset.with_labels(labels)
 
@@ -254,13 +232,22 @@ def load_csv(path: str | Path, header: bool = False) -> Dataset:
     other file goes through :func:`_table_from_lines`, which gives the same
     table or raises an error that names the first faulty ``path:line``.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        text = fh.read()
+    text = _read_utf8(path)
     lines = _data_lines(text, header)
     table = _table_from_loadtxt(text, lines)
     if table is None:
         table = _table_from_lines(path, lines, header)
     return Dataset(table[:, 1:], table[:, 0])
+
+
+def _read_utf8(path: str | Path) -> str:
+    """The file's text, decoded once; a byte that is not UTF-8 is named by its line."""
+    raw = Path(path).read_bytes()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as err:
+        line = raw.count(b"\n", 0, err.start) + 1
+        raise ValueError(f"{path}:{line}: not UTF-8 (byte 0x{raw[err.start]:02x})") from None
 
 
 def _data_lines(text: str, header: bool) -> list[str]:

@@ -195,7 +195,7 @@ def local_solve(part: Cohort, dataset: Dataset, alpha: np.ndarray,
     parts = sorted(part.partitions, key=lambda p: (-len(p), p.client_id))
     sizes = [len(p) for p in parts]
     starts = np.cumsum([0, *sizes]).tolist()
-    idx = np.concatenate([np.zeros(0, np.intp), *(p.rows for p in parts)])
+    idx = np.concatenate([np.zeros(0, np.intp), *(p.sample_indices for p in parts)])
     X, y, a = dataset.features[idx], dataset.labels[idx], alpha[idx]
     lam_d = hyper.lam * len(dataset)
     scale = 1.0 / lam_d

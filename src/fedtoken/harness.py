@@ -78,7 +78,6 @@ def build_simulation(cfg: ExperimentConfig) -> SimulationState:
         remaining=cfg.total_microtokens,
     )
     return SimulationState(
-        train=train,
         effective_train=effective,
         test=test,
         partitions=parts,

@@ -188,12 +188,8 @@ class Chain:
 
 def append_to_file(path: str | Path, chain: Chain, block: Block) -> None:
     """Persist a freshly appended block; writes the header on first use."""
-    path = Path(path)
-    if block.index == 0 or not path.exists():
-        upto = chain.blocks.index(block)
-        blob = LEDGER_MAGIC + struct.pack(">H", LEDGER_VERSION)
-        blob += b"".join(b.to_bytes() for b in chain.blocks[:upto + 1])
-        path.write_bytes(blob)
+    if block.index == 0 or not Path(path).exists():
+        Chain(chain.blocks[:block.index + 1]).write(path)
     else:
         with open(path, "ab") as fh:
             fh.write(block.to_bytes())

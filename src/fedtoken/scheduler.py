@@ -90,10 +90,9 @@ class RoundMetrics:
 
 @dataclass
 class SimulationState:
-    train: Dataset            # ground-truth labels, used for clean evaluation
-    effective_train: Dataset  # labels as clients actually train on them
-    test: Dataset
-    partitions: list[ClientPartition]
+    effective_train: Dataset  # the training split; poisoned clients' labels are flipped
+    test: Dataset             # the held-out split that valuation and metrics score on
+    partitions: list[ClientPartition]  # partitions[c]: client c's rows of effective_train
     model: GlobalModel
     alpha: np.ndarray         # one dual coordinate per training row
     budget: Budget
@@ -215,8 +214,8 @@ def round_step(state: SimulationState, cfg) -> RoundMetrics:
     nu_round = _resolve_nu(cfg, len(selection.selected))
     phi_next = aggregate(state.model.phi, selection, deltas, nu_round)
     for c in selection.selected:
-        commit(state.alpha, state.partitions[c].rows, updates[c].rho, nu_round)
-    state.committed_bytes += len(selection.selected) * upload_size(state.train.d)
+        commit(state.alpha, state.partitions[c].sample_indices, updates[c].rho, nu_round)
+    state.committed_bytes += len(selection.selected) * upload_size(state.effective_train.d)
     state.model = GlobalModel(phi_next, t)
     state.round = t
 

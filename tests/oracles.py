@@ -164,7 +164,8 @@ def local_gain(part, dataset, alpha: np.ndarray, model, loss: str, lam: float,
                rho: np.ndarray) -> float:
     """Local dual objective improvement of a step rho over rho = 0."""
     D = len(dataset)
-    a, y, X = alpha[part.rows], dataset.labels[part.rows], dataset.features[part.rows]
+    idx = part.sample_indices
+    a, y, X = alpha[idx], dataset.labels[idx], dataset.features[idx]
     sep = float(np.sum(losses.conjugate(loss, a + rho, y) - losses.conjugate(loss, a, y)))
     lin = float(rho @ (X @ model.phi))
     dvec = X.T @ rho
@@ -180,7 +181,7 @@ def scalar_local_solve(part, dataset, alpha: np.ndarray, model, loss: str, hyper
     coordinate costs one ``dot`` and one axpy on the client's running model.
     """
     losses.check_kind(loss)
-    idx = part.rows
+    idx = part.sample_indices
     X = dataset.features[idx]
     y = dataset.labels[idx]
     scale = 1.0 / (hyper.lam * len(dataset))

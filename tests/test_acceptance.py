@@ -149,7 +149,7 @@ def test_criterion_03_convex_convergence():
         loss="squared", lam=0.1, nu=1.0, aggregation=FEDAVG_ALL,
         partition_scheme="iid", total_tokens=1000))
     res_single = run(single)
-    assert len(res_single.state.train) == 50
+    assert len(res_single.state.effective_train) == 50
     single_round = next((m.round for m in res_single.metrics
                          if m.duality_gap < 1e-6), None)
     assert single_round is not None and single_round <= 200

@@ -1,7 +1,12 @@
+from pathlib import Path
+
 import pytest
 
+from fedtoken import config
 from fedtoken.config import (ConfigError, ExperimentConfig, load_config,
                              save_config, validate, with_overrides)
+
+CONFIG_DOC = Path(__file__).resolve().parents[1] / "docs" / "config.md"
 
 
 def test_minimal_file_fills_all_defaults(tmp_path):
@@ -63,6 +68,39 @@ def test_round_trip_preserves_the_config(tmp_path):
     path = tmp_path / "cfg.ini"
     save_config(cfg, path)
     assert load_config(path) == cfg
+
+
+def test_saved_file_keeps_its_section_order_key_order_and_format(tmp_path):
+    cfg = validate(ExperimentConfig(
+        seed=7, data_source="csv", csv_path="data/task.csv", csv_header=True, nu=0.25,
+        n_clients=10, m_fraction=0.5, quota=3, poison_clients=(1, 4), flip_fraction=0.5,
+    ))
+    path = tmp_path / "cfg.ini"
+    save_config(cfg, path)
+    assert path.read_bytes() == (
+        b"[run]\nseed = 7\naggregation = fedtoken\ntarget_accuracy = 0.7\n\n"
+        b"[data]\nsource = csv\ncsv_path = data/task.csv\ncsv_header = true\n"
+        b"n_samples = 400\ndim = 5\nseparation = 3.0\ntest_fraction = 0.25\n"
+        b"partition = iid\nshards_k = 2\ndirichlet_beta = 0.5\n\n"
+        b"[learning]\nloss = logistic\nlambda = 0.01\nnu = 0.25\nlocal_passes = 1\n\n"
+        b"[federation]\nn_clients = 10\nm_fraction = 0.5\nquota = 3\nquota_ratio = \n"
+        b"rounds = 50\n\n"
+        b"[valuation]\ndelta = 4\neps = 0.0\nweighting = mean\n\n"
+        b"[attack]\npoison_clients = 1,4\nflip_fraction = 0.5\n\n"
+        b"[tokens]\ntotal_tokens = 1000\nper_round_microtokens = \n"
+        b"participation_base_microtokens = \nallocation = pf\nzeta = 0.7\n"
+        b"participation_for_selected = false\n"
+    )
+
+
+def test_docs_list_every_key_of_each_section_in_declaration_order():
+    documented: list[tuple[str, list[str]]] = []
+    for line in CONFIG_DOC.read_text(encoding="utf-8").splitlines():
+        if line.startswith("## ["):
+            documented.append((line[len("## ["):line.index("]")], []))
+        elif line.startswith("| `") and documented:
+            documented[-1][1].append(line.split("`")[1])
+    assert documented == [(section, list(keys)) for section, keys in config._SCHEMA.items()]
 
 
 def test_nu_parses_auto_and_floats(tmp_path):

@@ -21,6 +21,10 @@ def _make_dataset(n, seed=0):
 
 
 def _assert_disjoint_cover(parts, n):
+    for p in parts:
+        rows = p.sample_indices
+        assert rows.dtype == np.intp and not rows.flags.writeable
+        assert np.all(rows[1:] > rows[:-1])
     seen = [i for p in parts for i in p.sample_indices]
     assert len(seen) == len(set(seen)) == n
     assert set(seen) == set(range(n))
@@ -37,7 +41,7 @@ def test_single_client_gets_everything():
     ds = _make_dataset(17)
     for kind in ("iid", "label-shards", "dirichlet"):
         parts = partition(ds, 1, PartitionScheme(kind, seed=5))
-        assert parts[0].sample_indices == tuple(range(17))
+        assert parts[0].sample_indices.tolist() == list(range(17))
 
 
 def test_label_shards_one_gives_pure_clients(two_class_200):
@@ -73,7 +77,17 @@ def test_partition_is_deterministic(two_class_200):
     scheme = PartitionScheme("dirichlet", seed=21, dirichlet_beta=0.3)
     first = partition(two_class_200, 6, scheme)
     second = partition(two_class_200, 6, scheme)
-    assert [p.sample_indices for p in first] == [p.sample_indices for p in second]
+    assert [p.sample_indices.tolist() for p in first] == [p.sample_indices.tolist() for p in second]
+
+
+def test_partition_copies_the_callers_rows():
+    rows = np.array([7, 2, 5])
+    part = ClientPartition(3, rows)
+    assert rows.flags.writeable
+    rows[0] = 0
+    assert part.sample_indices.tolist() == [7, 2, 5]
+    with pytest.raises(ValueError, match="unique"):
+        ClientPartition(3, np.array([4, 1, 4]))
 
 
 def test_poison_zero_and_full_flip(two_class_200):
@@ -202,8 +216,7 @@ def _csv_outcome(load):
 
 def _load_by_line_loop(path, header):
     """``load_csv`` with the ``np.loadtxt`` parse left out."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        text = fh.read()
+    text = data._read_utf8(path)
     table = data._table_from_lines(path, data._data_lines(text, header), header)
     return Dataset(table[:, 1:], table[:, 0])
 
@@ -234,9 +247,10 @@ CSV_CASES = {
     "underscore": (b"+1,1_0\n-1,0.25\n", False, [[1, 10], [-1, 0.25]], False),
     "nan": (b"+1,0.5\n-1,nan\n", False, "features must be finite", True),
     "inf": (b"+1,inf\n-1,0.25\n", False, "features must be finite", True),
-    "non-utf8": (b"+1,0.5\n-1,\xff\n", False,
-                 "'utf-8' codec can't decode byte 0xff in position 10: invalid start byte",
-                 None),
+    "non-utf8": (b"+1,0.5\n-1,\xff\n", False, "{path}:2: not UTF-8 (byte 0xff)", None),
+    # the header is line 1, as the data lines are numbered after it
+    "non-utf8-header": (b"label,f\xe90\n+1,0.5\n", True, "{path}:1: not UTF-8 (byte 0xe9)",
+                        None),
     # a lone \r ends a line for np.loadtxt's path and universal-newline
     # readers, but not for the loop
     "lone-cr": (b"+1,0.5\r-1,0.25\n\n", False,

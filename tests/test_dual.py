@@ -134,7 +134,7 @@ def test_single_client_squared_reaches_ridge_solution():
     for t in range(200):
         upd = solve_one(part, ds, alpha, model, losses.SQUARED, hyper,
                         RngStream(1, round=t, purpose="local-solve"))
-        commit(alpha, part.rows, upd.rho, 1.0)
+        commit(alpha, part.sample_indices, upd.rho, 1.0)
         model = GlobalModel(model.phi + upd.delta_phi, t + 1)
     w_star = _ridge_solution(ds, lam)
     assert np.max(np.abs(model.phi - w_star)) < 1e-6
@@ -150,7 +150,7 @@ def test_local_solve_is_stationary_at_the_optimum():
     solve_hyper = Hyperparams(lam=lam, local_passes=400)
     upd = solve_one(part, ds, alpha, model, losses.SQUARED, solve_hyper,
                     RngStream(2, purpose="local-solve"))
-    commit(alpha, part.rows, upd.rho, 1.0)
+    commit(alpha, part.sample_indices, upd.rho, 1.0)
     model = GlobalModel(model.phi + upd.delta_phi, 1)
     again = solve_one(part, ds, alpha, model, losses.SQUARED,
                       Hyperparams(lam=lam, local_passes=1),
@@ -165,7 +165,7 @@ def test_delta_phi_matches_rho_exactly(gaussian_60x4):
                     GlobalModel(np.zeros(gaussian_60x4.d), 0), losses.LOGISTIC,
                     hyper, RngStream(5, purpose="local-solve"))
     rho_vec = np.zeros(len(gaussian_60x4))
-    rho_vec[part.rows] = upd.rho
+    rho_vec[part.sample_indices] = upd.rho
     expected = gaussian_60x4.features.T @ rho_vec / (0.05 * len(gaussian_60x4))
     scale = max(np.linalg.norm(expected), 1e-30)
     assert np.linalg.norm(upd.delta_phi - expected) / scale < 1e-12
@@ -179,7 +179,7 @@ def test_logistic_commits_stay_feasible(gaussian_60x4):
     for t in range(20):
         upd = solve_one(part, gaussian_60x4, alpha, model, losses.LOGISTIC,
                         hyper, RngStream(6, round=t, purpose="local-solve"))
-        commit(alpha, part.rows, upd.rho, 0.8)
+        commit(alpha, part.sample_indices, upd.rho, 0.8)
         model = GlobalModel(model.phi + 0.8 * upd.delta_phi, t + 1)
     assert is_feasible(losses.LOGISTIC, alpha, gaussian_60x4.labels)
 

@@ -155,7 +155,7 @@ def test_csv_source_run_round_trips(tmp_path):
                    n_clients=4, quota=2, n_samples=80, dim=3)
     res = run(cfg, tmp_path / "out")
     assert res.summary["rounds_executed"] == 2
-    assert len(res.state.train) + len(res.state.test) == 80
+    assert len(res.state.effective_train) + len(res.state.test) == 80
     # the synthetic source with the run's seed draws the data the CSV holds,
     # so the two runs are the same to the byte
     run(with_overrides(cfg, data_source="synthetic"), tmp_path / "synth")

@@ -189,6 +189,10 @@ def test_file_round_trip_and_incremental_append(tmp_path):
     loaded = Chain.load(full_path)
     assert loaded.verify() is None
     assert loaded.total_issued() == chain.total_issued()
+    # a file that is gone after round 1 starts again with the chain up to the block
+    inc_path.unlink()
+    append_to_file(inc_path, chain, chain.blocks[2])
+    assert Chain.load(inc_path).blocks == chain.blocks[:3]
 
 
 def test_serialization_is_deterministic():

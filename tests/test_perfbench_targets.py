@@ -7,21 +7,27 @@ benchmark run; these checks make it fail the test suite instead.
 
 import inspect
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from fedtoken import losses, rng
-from fedtoken.config import ExperimentConfig, validate
-from fedtoken.dual import upload_size
-from fedtoken.harness import run
+import numpy as np
 
-# imported read-only: no bytecode is written next to the benchmark's files
+from fedtoken import losses, rng
+from fedtoken.config import ExperimentConfig, load_config, validate
+from fedtoken.dual import upload_size
+from fedtoken.harness import build_simulation, run
+
+# imported read-only: no bytecode is written next to the benchmark's files, and
+# sys.path is restored, as run.py adds the program's source directory to it
 PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
+saved_path = list(sys.path)
 sys.path.insert(0, PERFBENCH)
 sys.dont_write_bytecode, write_bytecode = True, sys.dont_write_bytecode
 try:
+    import run as bench_run
     import tracer
 finally:
-    sys.path.remove(PERFBENCH)
+    sys.path[:] = saved_path
     sys.dont_write_bytecode = write_bytecode
 
 
@@ -85,3 +91,16 @@ def test_tracer_counts_the_valuation_work(monkeypatch):
         assert queries > evaluations > 0, loss
         assert len(in_value) == queries, loss
         assert kernel_calls == evaluations, loss
+
+
+def test_benchmark_poisons_the_first_clients_whose_shards_hold_only_positive_labels(
+        tmp_path):
+    # prepare picks the poisoners from the program's own partitions
+    workload = bench_run.workloads.WORKLOADS["poisoned-shards-squared"]
+    config_path, _ = bench_run.prepare(workload, 2, tmp_path, tiny=True)
+    cfg = load_config(config_path)
+    clean = build_simulation(replace(cfg, poison_clients=()))
+    labels = clean.effective_train.labels
+    pure = [p.client_id for p in clean.partitions if np.all(labels[p.sample_indices] > 0)]
+    assert len(cfg.poison_clients) == 2
+    assert cfg.poison_clients == tuple(pure[:2])
