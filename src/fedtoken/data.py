@@ -8,6 +8,7 @@ two runs with the same seeds produce identical partitions and views.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -87,8 +88,10 @@ class PartitionScheme:
             raise ValueError(f"unknown partition scheme {self.kind!r}")
         if self.shards_k < 1:
             raise ValueError("shards_k must be >= 1")
-        if self.dirichlet_beta <= 0:
-            raise ValueError("dirichlet_beta must be > 0")
+        # written to reject NaN, which every comparison rejects
+        if not 0.0 < self.dirichlet_beta < math.inf:
+            raise ValueError("dirichlet_beta must be a finite number > 0, "
+                             f"not {self.dirichlet_beta!r}")
 
 
 def _partition_iid(n: int, n_clients: int, gen: np.random.Generator) -> list[np.ndarray]:

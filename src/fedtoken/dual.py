@@ -17,15 +17,21 @@ dual objective relative to ``rho = 0``.
 
 The clients' solves read disjoint rows and their own running models, so
 they are independent, as CoCoA's local solvers are (Jaggi et al., NeurIPS
-2014).  :func:`local_solve` therefore runs a whole cohort at once: step k
-of every client's pass is one gathered block of rows, one batched row dot
-and one batched model update.  Each client still visits its rows in the
-order its own stream draws.
+2014).  :func:`local_solve` therefore runs a whole cohort at once.  For
+logistic loss, step k of every client's pass is one gathered block of rows,
+one batched row dot, one scalar Newton solve per client and one batched
+model update.  A squared-loss step is linear in the steps before it, so a
+pass goes in blocks of ``SQUARED_BLOCK`` positions: a row dot against the
+block-start models and a batched Gram matrix set up a forward substitution
+whose every step is one ``np.vecdot`` call for the whole cohort, and one
+product moves the models after the block.  Each client still visits its
+rows in the order its own stream draws.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import struct
 from dataclasses import dataclass
 
@@ -41,6 +47,7 @@ MODEL_VERSION = 1
 
 NEWTON_TOL = 1e-8  # on |F|; the closed-form last step leaves O(F^2)
 NEWTON_MAX_ITER = 100
+SQUARED_BLOCK = 32  # squared-loss step positions solved per block
 
 
 @dataclass(frozen=True)
@@ -49,10 +56,11 @@ class Hyperparams:
     local_passes: int = 1
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("lam must be > 0")
-        if self.local_passes < 1:
-            raise ValueError("local_passes must be >= 1")
+        # written to reject NaN, which every comparison rejects
+        if not 0.0 < self.lam < math.inf:
+            raise ValueError(f"lam must be a finite number > 0, not {self.lam!r}")
+        if not isinstance(self.local_passes, numbers.Integral) or self.local_passes < 1:
+            raise ValueError(f"local_passes must be an integer >= 1, not {self.local_passes!r}")
 
 
 @dataclass(frozen=True)
@@ -180,16 +188,35 @@ def local_solve(part: Cohort, dataset: Dataset, alpha: np.ndarray,
     Each client keeps its running model w_c = phi + (1 / (lambda * D)) *
     X_c^T rho_c.  The clients are ordered by (size descending, client id),
     so those still visiting rows at step k of a pass are a leading slice
-    of that order.  Step k gathers each active client's k-th permuted row
-    into one block, takes one batched row dot against the running models,
-    solves the active coordinates (closed form for squared loss on the
-    whole vector, one scalar Newton solve per client for logistic) and
-    moves the models with one batched axpy.  The squared step solves for
-    the change ``c = r - rho`` itself: ``c = (y - a - rho - x.w) / (1 + q)``,
-    whose ``y - a - rho`` and ``1 / (1 + q)`` are gathered once a pass, as
-    ``rho`` moves only between passes.  Each ``delta_phi`` is
-    recomputed from the client's final ``rho`` in one pass, so it matches
-    (1 / (lambda * D)) * X_c^T rho_c exactly.
+    of that order.
+
+    Logistic: step k gathers each active client's k-th permuted row into
+    one block, takes one batched row dot against the running models, runs
+    one scalar Newton solve per active client and moves the models with one
+    batched axpy.
+
+    Squared: the step at row j solves for the change ``c = r - rho`` in
+    closed form, ``c_j = inv_j * (y_j - a_j - rho_j - x_j.w)`` with
+    ``inv = 1 / (1 + q)``; ``rho`` moves only between passes, so
+    ``y - a - rho`` holds for a pass.  Within a block of ``SQUARED_BLOCK``
+    positions the running model is the block-start model w0 plus
+    ``scale * sum_{i<j} c_i x_i``, so
+
+        c_j = t_j - scale * inv_j * sum_{i<j} (x_j.x_i) c_i,
+        t_j = (y_j - a_j - rho_j) * inv_j - inv_j * (x_j.w0):
+
+    forward substitution on a lower-triangular system.  One row dot and one
+    batched Gram product fill every client's matrix ``A`` (row j is ``t_j``
+    and then the coefficients of c_0 .. c_{j-1}); step j is then a single
+    ``np.vecdot`` of row j with ``(1, c_0, .., c_{j-1})`` for the whole
+    cohort, and one product moves each model by ``scale * sum_j c_j x_j``
+    after the block.  These are the iterates of the step-by-step loop, in
+    the same order, with their sums grouped differently, so they agree with
+    it to rounding.  A client's slots past its last row hold row 0 with a
+    zero ``inv``, so their steps are 0 and its model stays put.
+
+    Each ``delta_phi`` is recomputed from the client's final ``rho`` in one
+    pass, so it matches (1 / (lambda * D)) * X_c^T rho_c exactly.
     """
     losses.check_kind(loss)
     parts = sorted(part.partitions, key=lambda p: (-len(p), p.client_id))
@@ -210,24 +237,46 @@ def local_solve(part: Cohort, dataset: Dataset, alpha: np.ndarray,
     # live[k, i]: client i has a k-th row; active[k]: how many clients do
     live = np.arange(max(sizes, default=0))[:, None] < np.array(sizes, dtype=np.intp)
     active = np.count_nonzero(live, axis=1).tolist()
+    if squared:
+        inv = 1.0 / (1.0 + q)
+        # One block's buffers and each step's views into them, built once:
+        # step j writes every client's c_j = A[:, j, :j+1] . C[:j+1] into
+        # C[j+1], with C[0] = 1.  C is position-major so that no step's
+        # output shares memory bounds with its input, which would copy it.
+        A = np.empty((len(parts), SQUARED_BLOCK, SQUARED_BLOCK + 1))
+        C = np.empty((SQUARED_BLOCK + 1, len(parts)))
+        C[0] = 1.0
+        steps = [(A[:, j, :j + 1], C[:j + 1].T, C[j + 1]) for j in range(SQUARED_BLOCK)]
 
     for _ in range(hyper.local_passes):
         # order[k, i]: client i's k-th row of this pass, as an index into X;
-        # the slots past a client's last row stay 0 and are never read
+        # the slots past a client's last row stay 0
         order = np.zeros(live.shape, dtype=np.intp)
         for i, (gen, n) in enumerate(zip(gens, sizes)):
             order[:n, i] = starts[i] + gen.permutation(n)
-        Xp, Rp = X[order], rho[order]
-        # vecdot takes each row's dot as ndarray.dot does, to the bit
         if squared:
-            # rho is the pass-start step, so T and INV hold for the whole pass
-            T, INV = (y - a - rho)[order], (1.0 / (1.0 + q))[order]
-            for k, na in enumerate(active):
-                B, W = Xp[k, :na], models[:na]
-                c = (T[k, :na] - np.vecdot(B, W)) * INV[k, :na]
-                W += (c * scale)[:, None] * B
-                Rp[k, :na] += c
+            # client-major: INV[i, k] is for client i's k-th row of the pass,
+            # and 0 past its last row, which makes every step there 0
+            INV = np.where(live.T, inv.take(order.T), 0.0)
+            TI = (y - a - rho).take(order.T) * INV
+            NSI = -scale * INV
+            dR = np.empty(INV.shape)  # the pass's changes, in INV's slots
+            for k in range(0, len(live), SQUARED_BLOCK):
+                Xb = X.take(order[k:k + SQUARED_BLOCK].T, axis=0)
+                b = Xb.shape[1]
+                np.subtract(TI[:, k:k + b], INV[:, k:k + b] * np.vecdot(Xb, models[:, None]),
+                            out=A[:, :b, 0])
+                np.matmul(Xb * NSI[:, k:k + b, None], Xb.transpose(0, 2, 1),
+                          out=A[:, :b, 1:b + 1])
+                for Aj, Cj, cj in steps[:b]:
+                    np.vecdot(Aj, Cj, out=cj)
+                Cb = C[1:b + 1].T
+                models += scale * (Cb[:, None] @ Xb)[:, 0]
+                dR[:, k:k + b] = Cb
+            rho[order.T[live.T]] += dR[live.T]
         else:
+            Xp, Rp = X[order], rho[order]
+            # vecdot takes each row's dot as ndarray.dot does, to the bit
             Qp = q[order]
             RQ = Rp * Qp
             As, Ys, Qs = a[order].tolist(), y[order].tolist(), Qp.tolist()
@@ -238,7 +287,7 @@ def local_solve(part: Cohort, dataset: Dataset, alpha: np.ndarray,
                 r = np.array(list(map(_solve_logistic, As[k], Ys[k], base.tolist(), Qs[k])))
                 W += ((r - rk) * scale)[:, None] * B
                 rk[:] = r
-        rho[order[live]] = Rp[live]
+            rho[order[live]] = Rp[live]
 
     solved = {}
     for p, lo, hi in zip(parts, starts, starts[1:]):
@@ -265,6 +314,8 @@ def save_model(path, phi: np.ndarray) -> None:
 def load_model(path) -> np.ndarray:
     with open(path, "rb") as fh:
         blob = fh.read()
+    if len(blob) < 16:
+        raise ValueError("model snapshot truncated")
     if blob[:4] != MODEL_MAGIC:
         raise ValueError("not a model snapshot file")
     version, = struct.unpack("<I", blob[4:8])

@@ -123,8 +123,8 @@ def run(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> RunResult:
 
     If a run with an output directory raises after opening its outputs, it
     ends ``metrics.jsonl`` and ``summary.json`` with a summary whose
-    ``stop_reason`` is ``"error"``, naming the failed round and the error,
-    and then re-raises.
+    ``stop_reason`` is ``"error"``, naming the failed round, the phase it
+    failed in and the error, and then re-raises.
     """
     state = build_simulation(cfg)
     out = Path(out_dir) if out_dir is not None else None
@@ -138,10 +138,14 @@ def run(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> RunResult:
     metrics: list[RoundMetrics] = []
     stop_reason = "horizon"
     failed_round = None
+    # the phase in progress; None while round_step runs, as it names its own
+    phase = None
     try:
         for _ in range(cfg.rounds):
             failed_round = state.round + 1
+            phase = None
             m = scheduler.round_step(state, cfg)
+            phase = "write"
             if metrics_fh is not None:
                 metrics_fh.write(_json_line(m.to_record()))
                 metrics_fh.flush()
@@ -153,6 +157,7 @@ def run(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> RunResult:
                 stop_reason = "budget-exhausted"
                 break
         failed_round = None
+        phase = "write"
         summary = _summary(cfg, metrics, state, stop_reason)
         if metrics_fh is not None:
             metrics_fh.write(_json_line(summary))
@@ -160,7 +165,9 @@ def run(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> RunResult:
         if metrics_fh is not None:
             # every round in `metrics` was written as strict JSON, so this is too
             failed = _summary(cfg, metrics, state, "error")
-            failed.update(failed_round=failed_round, error=f"{type(err).__name__}: {err}")
+            failed.update(failed_round=failed_round,
+                          failed_phase=getattr(err, "failed_phase", phase),
+                          error=f"{type(err).__name__}: {err}")
             metrics_fh.write(_json_line(failed))
             _write_summary(out, failed)
         raise

@@ -192,39 +192,54 @@ AGGREGATION_POLICIES = tuple(SELECTORS)
 
 
 def round_step(state: SimulationState, cfg) -> RoundMetrics:
-    """Execute one full round and advance the state in place."""
+    """Execute one full round and advance the state in place.
+
+    An exception raised inside the round gets a ``failed_phase`` attribute
+    naming the phase it was raised in: ``local-solve``, ``valuation``,
+    ``aggregate``, ``settle`` or ``evaluate``.
+    """
     if state.budget.exhausted:
         raise BudgetExhausted(f"budget exhausted after round {state.round}")
     if state.round >= cfg.rounds:
         raise RuntimeError("round horizon already reached")
     t = state.round + 1
-    root = RngStream(cfg.seed)
-    cohort = sample_cohort(cfg.n_clients, cfg.m_fraction, t, root)
-    plan = RoundPlan(round=t, cohort=cohort, quota=cfg.resolved_quota)
-    hyper = Hyperparams(lam=cfg.lam, local_passes=cfg.local_passes)
+    phase = "local-solve"
+    try:
+        root = RngStream(cfg.seed)
+        cohort = sample_cohort(cfg.n_clients, cfg.m_fraction, t, root)
+        plan = RoundPlan(round=t, cohort=cohort, quota=cfg.resolved_quota)
+        hyper = Hyperparams(lam=cfg.lam, local_passes=cfg.local_passes)
 
-    solved = local_solve(Cohort(tuple(state.partitions[c] for c in cohort)),
-                         state.effective_train, state.alpha, state.model, cfg.loss, hyper,
-                         root.scoped(round=t, purpose="local-solve"))
-    updates = solved.updates
-    state.uploaded_bytes += solved.upload_bytes
-    deltas = {c: upd.delta_phi for c, upd in updates.items()}
+        solved = local_solve(Cohort(tuple(state.partitions[c] for c in cohort)),
+                             state.effective_train, state.alpha, state.model, cfg.loss,
+                             hyper, root.scoped(round=t, purpose="local-solve"))
+        updates = solved.updates
+        state.uploaded_bytes += solved.upload_bytes
+        deltas = {c: upd.delta_phi for c, upd in updates.items()}
 
-    selection, u, residual, ctx = SELECTORS[cfg.aggregation](state, cfg, plan, deltas, root)
-    nu_round = _resolve_nu(cfg, len(selection.selected))
-    phi_next = aggregate(state.model.phi, selection, deltas, nu_round)
-    for c in selection.selected:
-        commit(state.alpha, state.partitions[c].sample_indices, updates[c].rho, nu_round)
-    state.committed_bytes += len(selection.selected) * upload_size(state.effective_train.d)
-    state.model = GlobalModel(phi_next, t)
-    state.round = t
+        phase = "valuation"
+        selection, u, residual, ctx = SELECTORS[cfg.aggregation](state, cfg, plan, deltas,
+                                                                 root)
+        phase = "aggregate"
+        nu_round = _resolve_nu(cfg, len(selection.selected))
+        phi_next = aggregate(state.model.phi, selection, deltas, nu_round)
+        for c in selection.selected:
+            commit(state.alpha, state.partitions[c].sample_indices, updates[c].rho, nu_round)
+        state.committed_bytes += len(selection.selected) * upload_size(state.effective_train.d)
+        state.model = GlobalModel(phi_next, t)
+        state.round = t
 
-    policy = AllocationPolicy(cfg.allocation, cfg.zeta, cfg.participation_for_selected)
-    allocation, state.budget = tokenomics.settle_round(state.budget, policy, u, selection, t)
-    block = state.chain.append_block(t, allocation)
+        phase = "settle"
+        policy = AllocationPolicy(cfg.allocation, cfg.zeta, cfg.participation_for_selected)
+        allocation, state.budget = tokenomics.settle_round(state.budget, policy, u, selection, t)
+        block = state.chain.append_block(t, allocation)
 
-    accuracy, test_loss = _test_metrics(phi_next, state.test, cfg.loss)
-    gap = duality_gap(state.alpha, state.effective_train, cfg.loss, cfg.lam)
+        phase = "evaluate"
+        accuracy, test_loss = _test_metrics(phi_next, state.test, cfg.loss)
+        gap = duality_gap(state.alpha, state.effective_train, cfg.loss, cfg.lam)
+    except Exception as err:
+        err.failed_phase = phase
+        raise
     return RoundMetrics(
         round=t,
         policy=cfg.aggregation,

@@ -90,6 +90,12 @@ def test_partition_copies_the_callers_rows():
         ClientPartition(3, np.array([4, 1, 4]))
 
 
+@pytest.mark.parametrize("beta", (float("nan"), float("inf"), 0.0, -1.0))
+def test_partition_scheme_rejects_a_dirichlet_beta_config_rejects(beta):
+    with pytest.raises(ValueError, match="dirichlet_beta"):
+        PartitionScheme("dirichlet", seed=0, dirichlet_beta=beta)
+
+
 def test_poison_zero_and_full_flip(two_class_200):
     part = ClientPartition(0, tuple(range(10)))
     stream = RngStream(2, client=0, purpose="poison")

@@ -6,8 +6,8 @@ import pytest
 from fedtoken import losses
 from fedtoken.data import (ClientPartition, Dataset, PartitionScheme, partition,
                            synth_gaussian)
-from fedtoken.dual import (Cohort, GlobalModel, Hyperparams, _solve_logistic, commit,
-                           dual_objective, duality_gap, load_model, local_solve,
+from fedtoken.dual import (SQUARED_BLOCK, Cohort, GlobalModel, Hyperparams, _solve_logistic,
+                           commit, dual_objective, duality_gap, load_model, local_solve,
                            phi_of_alpha, primal_objective, save_model, upload_size)
 from fedtoken.rng import RngStream
 from oracles import (coordinate_value, feasible_interval, is_feasible, local_gain,
@@ -230,6 +230,40 @@ def test_cohort_solve_matches_the_scalar_loop_client_by_client(loss, passes):
             assert np.linalg.norm(g - w) <= 1e-12 * np.linalg.norm(w), (part.client_id, field)
 
 
+def _block_edge_cohort():
+    """Clients of 0, 1, B-1, B, B+1 and 3B+5 rows, B = SQUARED_BLOCK, some rows all zero."""
+    B = SQUARED_BLOCK
+    sizes = (0, 1, B - 1, B, B + 1, 3 * B + 5)
+    base = synth_gaussian(sum(sizes), 4, 2.0, RngStream(8, purpose="synth-data"))
+    features = base.features.copy()
+    features[::5] = 0.0
+    ds = Dataset(features, base.labels)
+    rows = np.random.Generator(np.random.PCG64(3)).permutation(len(ds))
+    cuts = np.cumsum((0, *sizes))
+    parts = tuple(ClientPartition(c, rows[lo:hi]) for c, (lo, hi)
+                  in enumerate(zip(cuts, cuts[1:])))
+    return ds, Cohort(parts)
+
+
+@pytest.mark.parametrize("passes", (1, 3))
+@pytest.mark.parametrize("lam", (1e-4, 0.05, 10.0))
+def test_squared_blocks_match_the_scalar_loop_across_block_edges(lam, passes):
+    ds, cohort = _block_edge_cohort()
+    alpha = _random_feasible_state(ds, losses.SQUARED, 23)
+    model = GlobalModel(np.linspace(-0.4, 0.4, ds.d), 0)
+    hyper = Hyperparams(lam=lam, local_passes=passes)
+    stream = RngStream(5, round=2, purpose="local-solve")
+    solved = local_solve(cohort, ds, alpha, model, losses.SQUARED, hyper, stream)
+    for part in cohort.partitions:
+        want = scalar_local_solve(part, ds, alpha, model, losses.SQUARED, hyper,
+                                  stream.scoped(client=part.client_id))
+        got = solved.updates[part.client_id]
+        for field in ("rho", "delta_phi"):
+            g, w = getattr(got, field), getattr(want, field)
+            assert g.shape == w.shape
+            assert np.linalg.norm(g - w) <= 1e-12 * np.linalg.norm(w), (part.client_id, field)
+
+
 def test_cohort_length_counts_its_rows():
     ds, cohort = _ragged_cohort()
     assert len(cohort) == len(ds)
@@ -256,6 +290,33 @@ def test_model_snapshot_round_trip(tmp_path):
     blob = path.read_bytes()
     assert blob[:4] == b"FTMD" and len(blob) == 16 + 8 * 4
     assert np.array_equal(load_model(path), phi)
+
+
+@pytest.mark.parametrize("size", (0, 4, 8, 15))
+def test_a_snapshot_shorter_than_its_header_is_truncated(tmp_path, size):
+    path = tmp_path / "model.bin"
+    save_model(path, np.array([1.5, -2.25]))
+    path.write_bytes(path.read_bytes()[:size])
+    with pytest.raises(ValueError, match="model snapshot truncated"):
+        load_model(path)
+
+
+def test_a_snapshot_with_a_wrong_magic_is_refused(tmp_path):
+    path = tmp_path / "model.bin"
+    save_model(path, np.array([1.5, -2.25]))
+    path.write_bytes(b"FTMX" + path.read_bytes()[4:])
+    with pytest.raises(ValueError, match="not a model snapshot file"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("field, value", (
+    ("lam", float("nan")), ("lam", float("inf")), ("lam", 0.0), ("lam", -1.0),
+    ("local_passes", 1.5), ("local_passes", 0),
+))
+def test_hyperparams_reject_what_config_rejects(field, value):
+    kwargs = {"lam": 0.1, "local_passes": 1, field: value}
+    with pytest.raises(ValueError, match=field):
+        Hyperparams(**kwargs)
 
 
 def test_commits_of_disjoint_clients_fill_one_alpha(gaussian_60x4):

@@ -1,3 +1,4 @@
+import importlib
 import json
 
 import numpy as np
@@ -61,6 +62,7 @@ def test_nan_in_a_round_record_is_not_written_as_json(tmp_path, monkeypatch):
     assert [r["record"] for r in records] == ["summary"]
     summary = records[0]
     assert summary["stop_reason"] == "error" and summary["failed_round"] == 1
+    assert summary["failed_phase"] == "write"
     assert summary["rounds_executed"] == 0 and "JSON" in summary["error"]
     assert json.loads((tmp_path / "summary.json").read_text(encoding="utf-8")) == summary
 
@@ -85,10 +87,44 @@ def test_error_summary_follows_the_rounds_written_before_the_failure(tmp_path, m
     assert [r["record"] for r in records] == ["round", "round", "summary"]
     summary = records[-1]
     assert summary["stop_reason"] == "error" and summary["failed_round"] == 3
+    assert summary["failed_phase"] is None  # raised outside round_step's phases
     assert summary["rounds_executed"] == 2
     assert summary["error"] == "RuntimeError: solver exploded"
     assert summary["final_test_loss"] == records[1]["test_loss"]
     assert verify_file(tmp_path / "ledger.ftlg") == (None, 2)
+
+
+# a callee of each phase; the test makes its second call raise, in round 2
+FAILING_CALLEES = {
+    "local-solve": "fedtoken.scheduler.local_solve",
+    "valuation": "fedtoken.scheduler.tmc_shapley",
+    "aggregate": "fedtoken.scheduler.aggregate",
+    "settle": "fedtoken.tokenomics.settle_round",
+    "evaluate": "fedtoken.scheduler.duality_gap",
+    "write": "fedtoken.ledger.append_to_file",
+}
+
+
+@pytest.mark.parametrize("phase", FAILING_CALLEES)
+def test_error_summary_names_the_failed_phase(tmp_path, monkeypatch, phase):
+    module_name, name = FAILING_CALLEES[phase].rsplit(".", 1)
+    module = importlib.import_module(module_name)
+    real, calls = getattr(module, name), []
+
+    def fail_on_second_call(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise RuntimeError(f"{name} broke")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, fail_on_second_call)
+    with pytest.raises(RuntimeError, match="broke"):
+        run(make_cfg(rounds=3), tmp_path)
+    summary = read_metrics(tmp_path / "metrics.jsonl")[-1]
+    assert summary["stop_reason"] == "error" and summary["failed_round"] == 2
+    assert summary["failed_phase"] == phase
+    assert summary["error"] == f"RuntimeError: {name} broke"
+    assert json.loads((tmp_path / "summary.json").read_text(encoding="utf-8")) == summary
 
 
 def test_zero_rounds_returns_the_initial_model(tmp_path):
