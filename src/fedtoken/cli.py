@@ -98,18 +98,15 @@ def _cmd_ledger(args) -> int:
     if not path.exists():
         print(f"ledger file not found: {path}", file=sys.stderr)
         return EXIT_VALIDATION
-    if args.ledger_command == "verify":
-        bad, n_blocks = ledger.verify_file(path)
-        if bad is None:
-            print(f"ok: {n_blocks} blocks verified")
-            return EXIT_OK
-        print(f"tamper detected at block {bad}")
-        return EXIT_TAMPER
-    chain = ledger.Chain.load(path)
-    bad = chain.verify()
+    # every subcommand reads only a ledger that verifies, so any damage exits 3
+    bad, n_blocks = ledger.verify_file(path)
     if bad is not None:
         print(f"tamper detected at block {bad}")
         return EXIT_TAMPER
+    if args.ledger_command == "verify":
+        print(f"ok: {n_blocks} blocks verified")
+        return EXIT_OK
+    chain = ledger.Chain.load(path)
     if args.ledger_command == "balance":
         print(chain.balance_of(args.client_id))
         return EXIT_OK

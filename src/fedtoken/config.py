@@ -7,12 +7,13 @@ sections or keys are rejected by name.  See docs/config.md for the schema.
 from __future__ import annotations
 
 import configparser
+import io
 import math
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 from . import ledger, losses, scheduler, tokenomics, valuation
-from .data import VALID_SCHEMES, split_sizes
+from .data import VALID_SCHEMES, _read_utf8, split_sizes
 
 
 class ConfigError(ValueError):
@@ -238,9 +239,16 @@ def load_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
+    try:
+        text = _read_utf8(path)
+    except OSError as err:
+        raise ConfigError(f"cannot read {path}: {err.strerror or err}") from err
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        parser.read(path, encoding="utf-8")
+        # universal newlines, as a file opened in text mode splits its lines
+        parser.read_file(io.StringIO(text, newline=None), source=str(path))
     except configparser.Error as err:
         raise ConfigError(f"cannot parse {path}: {err}") from err
 

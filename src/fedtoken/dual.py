@@ -275,7 +275,7 @@ def local_solve(part: Cohort, dataset: Dataset, alpha: np.ndarray,
                 dR[:, k:k + b] = Cb
             rho[order.T[live.T]] += dR[live.T]
         else:
-            Xp, Rp = X[order], rho[order]
+            Xp, Rp = X.take(order, axis=0), rho[order]
             # vecdot takes each row's dot as ndarray.dot does, to the bit
             Qp = q[order]
             RQ = Rp * Qp

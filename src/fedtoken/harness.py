@@ -14,6 +14,7 @@ own subdirectory, and return a comparison table.
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -23,8 +24,8 @@ import numpy as np
 from . import ledger as ledger_mod
 from . import scheduler, tokenomics
 from .config import ConfigError, ExperimentConfig, with_overrides
-from .data import Dataset, load_csv, partition, PartitionScheme, poison_labels, \
-    synth_gaussian, train_test_split
+from .data import Dataset, _read_utf8, load_csv, partition, PartitionScheme, \
+    poison_labels, synth_gaussian, train_test_split
 from .dual import GlobalModel, save_model
 from .rng import RngStream
 from .scheduler import RoundMetrics, SimulationState
@@ -241,23 +242,27 @@ def sweep(cfg: ExperimentConfig, axis: str, values, out_dir: str | Path | None =
 
 
 class MetricsFormatError(ValueError):
-    """A metrics file line that is not a JSON object."""
+    """A metrics file line that is not UTF-8 or not a JSON object."""
 
 
 def read_metrics(path: str | Path) -> list[dict]:
+    try:
+        text = _read_utf8(path)
+    except ValueError as err:
+        raise MetricsFormatError(str(err)) from None
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise MetricsFormatError(f"{path}:{lineno}: not JSON ({err.msg})") from None
-            if not isinstance(rec, dict):
-                raise MetricsFormatError(f"{path}:{lineno}: not a JSON object")
-            records.append(rec)
+    # universal newlines, as a file opened in text mode numbers its lines
+    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as err:
+            raise MetricsFormatError(f"{path}:{lineno}: not JSON ({err.msg})") from None
+        if not isinstance(rec, dict):
+            raise MetricsFormatError(f"{path}:{lineno}: not a JSON object")
+        records.append(rec)
     return records
 
 

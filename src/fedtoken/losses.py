@@ -35,16 +35,17 @@ def mean_loss(kind: str, w: np.ndarray, features: np.ndarray,
               labels: np.ndarray | None) -> float:
     """Mean loss of the scores ``features @ w``, one row per labelled sample.
 
-    For logistic loss ``labels`` may be ``None``: each row then already
-    carries its sample's ``-label``, so ``features @ w`` is the margin
-    ``-y * z`` itself and no label product is taken.  Labels are +-1, so a
-    row folded that way gives the same loss, to the bit, as the labelled
-    row.  Squared loss always takes labels.
+    ``labels`` may be ``None``: each row then already carries its sample's
+    label, so ``features @ w`` is the loss's whole argument.  For squared
+    loss that is the residual ``z - y``; for logistic loss it is the margin
+    ``-y * z``, and labels are +-1, so a row folded that way gives the same
+    loss, to the bit, as the labelled row.  No label product is taken.
     """
     z = features @ w
     # sums and a division by hand, without np.mean's few microseconds of set-up
     if kind == SQUARED:
-        z -= labels
+        if labels is not None:
+            z -= labels
         return float(0.5 * (z @ z) / len(z))
     if kind == LOGISTIC:
         if labels is not None:

@@ -14,55 +14,52 @@ cache keys a subset by an int mask with one bit per client, so a step along
 a permutation prefix sets one more bit, and a mask is the same int whatever
 order its members were added in.
 
-A round's context scores a subset by one ``losses.mean_loss`` call, and
-picks how it lays out that call's inputs once, by loss, when it is built.
-Either way a subset's value is a fixed function of its mask: it does not
-depend on which query path reached the subset first, so the cache may hand
-out whichever value it stored.
+A round's context scores a subset by one ``losses.mean_loss`` call, on one
+layout whatever the loss: a base column plus ``scale`` times the sum of the
+subset's client score rows, where ``scale`` is ``1/|S|`` or ``nu``.  Only
+how the base column and the score rows are built depends on the loss:
 
-Squared loss is a quadratic form in the candidate model.  With
-``M = [X_test @ phi_t - y_test, X_test @ deltas.T]`` (n_test x (m + 1)) and
-``u`` the subset's weights on the clients, the candidate's test loss is
-``|M @ [1, u]|**2 / (2 n_test)``.  ``M = Q R`` leaves that norm unchanged
-under ``R``, which has at most m + 1 rows, so the context keeps
-``R * sqrt(rows / n_test)``: ``F = R[:, 1:]`` as features and ``-R[:, 0]``
-as labels.  A miss then scores m + 1 rows, whatever n_test is.  The weights
-are the member indicator times ``1/|S|`` or ``nu``; setting and clearing an
-indicator entry is exact, so the value needs no snapping.
+* Squared loss is a quadratic form in the candidate model.  With
+  ``M = [X_test @ phi_t - y_test, X_test @ deltas.T]`` (n_test x (m + 1))
+  and ``u`` the subset's weights on the clients, the candidate's test loss
+  is ``|M @ [1, u]|**2 / (2 n_test)``.  ``M = Q R`` leaves that norm
+  unchanged under ``R``, which has at most m + 1 rows, so the context keeps
+  ``R * sqrt(rows / n_test)``: its first column is the base and the others,
+  transposed, the score rows.  A miss then scores at most m + 1 rows,
+  whatever n_test is.
+* Logistic loss is not a quadratic form, so its context works on the test
+  set: the base is the round-start scores ``X_test @ phi_t`` and one GEMM
+  gives the score rows ``deltas @ X_test.T``.  The loss of a score ``z``
+  with label ``y`` depends on the margin ``-y * z`` alone, so the context
+  multiplies every test column of both by ``-y``.  Labels are +-1, so that
+  is an exact sign flip, and a candidate's combined columns are its margins.
 
-Logistic loss is not a quadratic form, so its context works in test-score
-space.  One GEMM gives each client's scores on the test set,
-``S = deltas @ X_test.T`` (m x n_test), and every candidate model's scores
-are the round-start scores ``X_test @ phi_t`` plus ``scale`` times a sum of
-rows of ``S``.  The context keeps that sum for the last subset it scored and
-moves it to the next one by adding and subtracting the rows whose
-membership changed, so a step along a permutation prefix is one row add,
-whatever m and d are.
+Either way the combined column is the whole argument of the loss, which
+``mean_loss`` takes with ``labels=None``.  The context keeps the sum of the
+score rows for the last subset it scored and moves it to the next one by
+adding and subtracting the rows whose membership changed, so a step along a
+permutation prefix is one row add, whatever m and d are.
 
-The logistic loss of a score ``z`` with label ``y`` depends on the margin
-``-y * z`` alone.  So once the parts below are snapped, the context
-multiplies every test column of them, and of the round-start scores, by
-``-y``.  Labels are +-1, so that is an exact sign flip: each entry stays on
-its grid, and a candidate's combined columns are its margins, which
-``mean_loss`` takes with ``labels=None`` and scores without a label
-product, to the same bits as the labelled scores.
+Float sums depend on their order, so the score rows are split into two
+parts, ``hi`` and ``lo``, and each is rounded onto a grid: multiples of a
+power of two ``q`` with ``sum_c max_i |part[c, i]| < 2**52 * q`` (``q`` is at
+least 2**-1074, the smallest subnormal).  Every partial sum of any set of
+rows of one part is then an integer multiple of ``q`` below ``2**53 * q``,
+which float64 holds exactly, so a subset's sum is the same bits whatever
+order its rows were added and subtracted in.  A subset's value is therefore
+a fixed function of its mask: it does not depend on which query path reached
+the subset first, so the cache may hand out whichever value it stored.
+Rounding is symmetric in sign, so the logistic sign flip may come before
+the snapping, to the same bits as after it.
 
-Float sums depend on their order, so ``S`` is split into two parts, ``hi``
-and ``lo``, and each is rounded onto a grid: multiples of a power of two
-``q`` with ``sum_c max_i |part[c, i]| < 2**52 * q`` (``q`` is at least
-2**-1074, the smallest subnormal).  Every partial sum of any set of rows of
-one part is then an integer multiple of ``q`` below ``2**53 * q``, which
-float64 holds exactly, so a subset's sum is the same bits whatever order
-its rows were added and subtracted in.
-
-``hi`` is ``S`` rounded to the grid that its own bound sets.  ``lo = S - hi``
-is the rounding remainder, exact in float64 and at most ``q / 2`` an entry,
-rounded in turn to its own much finer grid.  With ``hi`` alone, a client
-whose scores lie many orders of magnitude below the largest client's keeps
-only a few multiples of ``q``: with delta scales from 1e-8 to 1e8, a subset
-value was off by 2.5e-9 relative.  With ``lo`` the scores are off by at most
-about ``m * 2**-105`` times the bound, so a value matches the candidate
-model's direct test loss to rounding.
+``hi`` is the score rows rounded to the grid that their own bound sets.
+``lo`` is the rounding remainder, exact in float64 and at most ``q / 2`` an
+entry, rounded in turn to its own much finer grid.  With ``hi`` alone, a
+client whose scores lie many orders of magnitude below the largest client's
+keeps only a few multiples of ``q``: with delta scales from 1e-8 to 1e8, a
+subset value was off by 2.5e-9 relative.  With ``lo`` the scores are off by
+at most about ``m * 2**-105`` times the bound, so a value matches the
+candidate model's direct test loss to rounding.
 """
 
 from __future__ import annotations
@@ -102,17 +99,14 @@ class UtilityContext:
     reach the same cache entry.  An id or mask bit the context does not know
     is a ``LookupError``.
 
-    A miss makes one ``losses.mean_loss`` call, on inputs laid out by loss
-    when the context is built and moved from the last scored mask by the
-    bits set in ``key ^ last`` (see the module docstring):
-
-    * squared loss: the member indicator, times the subset's scale, as the
-      weights on the compressed features ``F``, at most m + 1 rows of m;
-    * logistic loss: the candidate's test margins ``m0 + scale * (hi_sum +
-      lo_sum)``, as the n_test x 3 columns ``[m0, hi_sum, lo_sum]`` with
-      weights ``(1, scale, scale)`` and no labels.  Each column is a score
-      times ``-y``, folded in when the context is built.  The running sums
-      restart from zero when that adds fewer rows.
+    A miss makes one ``losses.mean_loss`` call on the n x 3 columns ``[base,
+    hi_sum, lo_sum]`` with weights ``(1, scale, scale)`` and no labels: the
+    base column, then the running sums of the subset's snapped score rows,
+    moved from the last scored mask by the bits set in ``key ^ last`` and
+    restarted from zero when that adds fewer rows.  The loss picks only the
+    base column and the score rows, when the context is built (see the
+    module docstring): n is at most m + 1 for squared loss and n_test for
+    logistic loss.
     """
 
     def __init__(self, phi_t: np.ndarray, deltas: dict[int, np.ndarray],
@@ -133,23 +127,21 @@ class UtilityContext:
         self.test_set, self.loss, self.weighting, self.nu = test_set, loss, weighting, nu
         self._last = 0
         if loss == losses.SQUARED:
-            self._features, self._labels = _compress(self.phi_t, stacked, test_set)
-            self._member = np.zeros(len(ids))
-            self._weights = np.zeros(len(ids))
+            base, scores = _compress(self.phi_t, stacked, test_set)
         else:
             features, flip = test_set.features, -test_set.labels
-            parts = _split_on_grids(stacked, features)
-            # labels are +-1: the sign flip is exact and keeps every entry on
-            # its grid, and a candidate's scores become its margins
-            parts *= flip
-            self._parts = list(parts)  # by bit position
-            # the round-start margins, then the subset's running hi and lo sums,
-            # which F order lays out as one contiguous (2, n_test) block
-            self._features = np.zeros((len(test_set), 3), order="F")
-            np.multiply(features @ self.phi_t, flip, out=self._features[:, 0])
-            self._sum = self._features.T[1:]
-            self._labels = None  # the rows carry -label already
-            self._weights = np.ones(3)
+            base, scores = features @ self.phi_t, stacked @ features.T
+            # labels are +-1: the sign flip is exact, and a candidate's scores
+            # become its margins
+            base *= flip
+            scores *= flip
+        self._parts = list(_split_on_grids(scores))  # by bit position
+        # the base column, then the subset's running hi and lo sums, which F
+        # order lays out as one contiguous (2, n) block
+        self._features = np.zeros((base.size, 3), order="F")
+        self._features[:, 0] = base
+        self._sum = self._features.T[1:]
+        self._weights = np.ones(3)
         self.v_ref = self._test_loss(0)
 
     def bit(self, client) -> int:
@@ -180,20 +172,11 @@ class UtilityContext:
 
     def _test_loss(self, key: int) -> float:
         size = key.bit_count()
-        scale = self.nu if self.weighting == SUM_WEIGHTING else 1.0 / max(size, 1)
-        if self.loss == losses.SQUARED:
-            changed, member = key ^ self._last, self._member
-            while changed:
-                low = changed & -changed
-                i = low.bit_length() - 1
-                member[i] = 1.0 - member[i]
-                changed ^= low
-            np.multiply(member, scale, out=self._weights)
-        else:
-            self._move_sums(key, size)
-            self._weights[1] = self._weights[2] = scale
+        self._move_sums(key, size)
         self._last = key
-        return losses.mean_loss(self.loss, self._weights, self._features, self._labels)
+        scale = self.nu if self.weighting == SUM_WEIGHTING else 1.0 / max(size, 1)
+        self._weights[1] = self._weights[2] = scale
+        return losses.mean_loss(self.loss, self._weights, self._features, None)
 
     def _move_sums(self, key: int, size: int) -> None:
         changed = key ^ self._last
@@ -215,9 +198,9 @@ class UtilityContext:
 
 def _compress(phi_t: np.ndarray, deltas: np.ndarray,
               test_set: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """Features and labels on at most m + 1 rows that give every candidate's squared test loss.
+    """The base column and (m, rows) score rows, rows <= m + 1, of every squared test loss.
 
-    The rows are the triangular factor of the residual and score columns
+    They are the triangular factor of the residual and score columns
     ``M = [X @ phi_t - y, X @ deltas.T]``, scaled by ``sqrt(rows / n_test)``
     so that their mean loss, taken over fewer rows, is the test set's.
     """
@@ -227,17 +210,16 @@ def _compress(phi_t: np.ndarray, deltas: np.ndarray,
     columns[:, 1:] = features @ deltas.T
     r = np.linalg.qr(columns, mode="r")
     r *= math.sqrt(r.shape[0] / features.shape[0])
-    return np.ascontiguousarray(r[:, 1:]), -r[:, 0]
+    return r[:, 0], r[:, 1:].T
 
 
-def _split_on_grids(deltas: np.ndarray, features: np.ndarray) -> np.ndarray:
-    """Test scores of each delta as (m, 2, n_test) parts, each snapped to its own grid.
+def _split_on_grids(scores: np.ndarray) -> np.ndarray:
+    """Score rows as (m, 2, n) parts, each snapped to its own grid.
 
     Each client's two parts are one contiguous block, so moving the running
     sums by a client is one contiguous add.
     """
-    scores = deltas @ features.T
-    parts = np.empty((deltas.shape[0], 2, features.shape[0]))
+    parts = np.empty((scores.shape[0], 2, scores.shape[1]))
     hi, lo = parts[:, 0], parts[:, 1]
     _snap(scores, hi)
     np.subtract(scores, hi, out=lo)

@@ -153,3 +153,24 @@ def test_training_split_must_cover_every_client():
         validate(ExperimentConfig(seed=1, n_samples=8, n_clients=7, m_fraction=1.0))
     with pytest.raises(ConfigError, match="data.n_samples"):
         validate(ExperimentConfig(seed=1, n_samples=8, n_clients=20))
+
+
+def test_a_byte_that_is_not_utf8_names_its_line(tmp_path):
+    path = tmp_path / "cfg.ini"
+    path.write_bytes(b"[run]\nseed = 1\n# caf\xe9\n")
+    with pytest.raises(ConfigError, match=r"cfg\.ini:3: not UTF-8 \(byte 0xe9\)"):
+        load_config(path)
+
+
+def test_a_directory_is_not_read_as_an_empty_config(tmp_path):
+    with pytest.raises(ConfigError, match="cannot read"):
+        load_config(tmp_path)
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+def test_every_line_ending_a_text_file_may_use_is_read(tmp_path, newline):
+    path = tmp_path / "cfg.ini"
+    path.write_bytes(newline.join([b"[run]", b"seed = 4", b"[federation]",
+                                   b"rounds = 2", b""]))
+    cfg = load_config(path)
+    assert (cfg.seed, cfg.rounds) == (4, 2)

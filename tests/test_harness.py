@@ -348,6 +348,26 @@ def test_cli_ledger_commands(tmp_path, capsys):
     assert "tamper detected" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", [["verify"], ["balance", "0"], ["round", "1"]])
+def test_cli_ledger_subcommands_all_exit_3_on_a_damaged_file(tmp_path, capsys, command):
+    # every subcommand verifies the file before it reads it
+    out_dir = tmp_path / "out"
+    run(make_cfg(rounds=3), out_dir)
+    blob = (out_dir / "ledger.ftlg").read_bytes()
+    truncated = tmp_path / "truncated.ftlg"
+    truncated.write_bytes(blob[:-5])
+    not_ledger = tmp_path / "notes.txt"
+    not_ledger.write_text("not a ledger\n", encoding="utf-8")
+    for path, block in ((truncated, 2), (not_ledger, 0)):
+        assert cli.main(["ledger", command[0], str(path), *command[1:]]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == f"tamper detected at block {block}\n", path
+        assert captured.err == ""
+    missing = tmp_path / "missing.ftlg"
+    assert cli.main(["ledger", command[0], str(missing), *command[1:]]) == 1
+    assert "not found" in capsys.readouterr().err
+
+
 def test_cli_gen_data_round_trips(tmp_path, capsys):
     out = tmp_path / "synth.csv"
     code = cli.main(["gen-data", "--n", "30", "--d", "4", "--separation", "2.5",
@@ -384,6 +404,26 @@ def test_cli_report_rejects_unknown_columns_and_malformed_lines(tmp_path, capsys
         assert cli.main(["report", str(broken)]) == 1
         line = len(good.splitlines()) + 1
         assert f"{broken}:{line}" in capsys.readouterr().err
+
+
+def test_cli_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, capsys):
+    # config and metrics files are decoded as CSV files are: a bad byte is a
+    # validation error that names its line, not a runtime error
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_bytes(b"[run]\nseed = 1\n# caf\xe9\n")
+    assert cli.main(["run", "--config", str(cfg)]) == 1
+    assert f"{cfg}:3: not UTF-8 (byte 0xe9)" in capsys.readouterr().err
+    assert cli.main(["run", "--config", str(tmp_path)]) == 1
+    assert f"cannot read {tmp_path}" in capsys.readouterr().err
+
+    out_dir = tmp_path / "out"
+    run(make_cfg(rounds=1), out_dir)
+    good = (out_dir / "metrics.jsonl").read_bytes()
+    broken = tmp_path / "broken.jsonl"
+    broken.write_bytes(good + b'{"round": "\xff"}\n')
+    assert cli.main(["report", str(broken)]) == 1
+    line = good.count(b"\n") + 1
+    assert f"{broken}:{line}: not UTF-8 (byte 0xff)" in capsys.readouterr().err
 
 
 def test_cli_validation_exit_code(tmp_path):

@@ -117,6 +117,17 @@ def test_squared_mean_loss_matches_the_mean_of_the_loss_values(n):
         assert abs(got - want) <= 1e-15 * want, (spread, got, want)
 
 
+@pytest.mark.parametrize("n", [1, 3, 257])
+def test_unlabelled_squared_mean_loss_is_the_loss_with_zero_labels_to_the_bit(n):
+    # rows that carry their label already score the residual itself
+    gen = np.random.default_rng(n)
+    features = gen.standard_normal((n, 3))
+    w = gen.standard_normal(3)
+    unlabelled = losses.mean_loss(losses.SQUARED, w, features, None)
+    zero = losses.mean_loss(losses.SQUARED, w, features, np.zeros(n))
+    assert unlabelled.hex() == zero.hex()
+
+
 def test_feasible_interval():
     assert feasible_interval(losses.LOGISTIC, 1.0) == (0.0, 1.0)
     assert feasible_interval(losses.LOGISTIC, -1.0) == (-1.0, 0.0)
