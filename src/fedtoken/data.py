@@ -243,14 +243,22 @@ def load_csv(path: str | Path, header: bool = False) -> Dataset:
     return Dataset(table[:, 1:], table[:, 0])
 
 
-def _read_utf8(path: str | Path) -> str:
-    """The file's text, decoded once; a byte that is not UTF-8 is named by its line."""
+def _read_utf8(path: str | Path, universal_newlines: bool = False) -> str:
+    """The file's text, decoded once; a byte that is not UTF-8 is named by its line.
+
+    Lines are counted as the caller splits them: at ``\n`` only, or with
+    ``universal_newlines`` at ``\n``, ``\r`` and ``\r\n``, as a file opened
+    in text mode numbers its lines.
+    """
     raw = Path(path).read_bytes()
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as err:
-        line = raw.count(b"\n", 0, err.start) + 1
-        raise ValueError(f"{path}:{line}: not UTF-8 (byte 0x{raw[err.start]:02x})") from None
+        head = raw[:err.start]
+        breaks = head.count(b"\n")
+        if universal_newlines:
+            breaks += head.count(b"\r") - head.count(b"\r\n")
+        raise ValueError(f"{path}:{breaks + 1}: not UTF-8 (byte 0x{raw[err.start]:02x})") from None
 
 
 def _data_lines(text: str, header: bool) -> list[str]:

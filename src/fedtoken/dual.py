@@ -118,8 +118,15 @@ def dual_objective(alpha: np.ndarray, dataset: Dataset, loss: str, lam: float) -
 
 
 def duality_gap(alpha: np.ndarray, dataset: Dataset, loss: str, lam: float) -> float:
+    """``primal_objective(w) - dual_objective(alpha)`` at w = phi(alpha), to the bit.
+
+    Both objectives carry the same term lam/2 * |w|^2, formed here once.
+    """
     w = phi_of_alpha(alpha, dataset, lam)
-    return primal_objective(w, dataset, loss, lam) - dual_objective(alpha, dataset, loss, lam)
+    reg = lam * 0.5 * float(w @ w)
+    primal = losses.mean_loss(loss, w, dataset.features, dataset.labels) + reg
+    conj = float(losses.conjugate(loss, alpha, dataset.labels).sum())
+    return primal - (conj / len(dataset) - reg)
 
 
 def _solve_logistic(alpha_i: float, y_i: float, base: float, qcoef: float) -> float:

@@ -247,7 +247,9 @@ class MetricsFormatError(ValueError):
 
 def read_metrics(path: str | Path) -> list[dict]:
     try:
-        text = _read_utf8(path)
+        text = _read_utf8(path, universal_newlines=True)
+    except OSError as err:
+        raise MetricsFormatError(f"cannot read {path}: {err.strerror or err}") from err
     except ValueError as err:
         raise MetricsFormatError(str(err)) from None
     records = []

@@ -10,7 +10,7 @@ are processed.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,14 +25,10 @@ class RngStream:
     def scoped(self, *, round: int | None = None, client: int | None = None,
                purpose: str | None = None) -> "RngStream":
         """Return a stream re-keyed with the given scope labels."""
-        kwargs = {}
-        if round is not None:
-            kwargs["round"] = round
-        if client is not None:
-            kwargs["client"] = client
-        if purpose is not None:
-            kwargs["purpose"] = purpose
-        return replace(self, **kwargs)
+        return RngStream(self.root_seed,
+                         self.round if round is None else round,
+                         self.client if client is None else client,
+                         self.purpose if purpose is None else purpose)
 
     def _entropy(self) -> int:
         key = f"{self.root_seed}|{self.round}|{self.client}|{self.purpose}"

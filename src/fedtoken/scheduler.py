@@ -148,10 +148,15 @@ def _resolve_nu(cfg, n: int) -> float:
 
 
 def _test_metrics(model: np.ndarray, test: Dataset, loss: str) -> tuple[float, float]:
+    """Accuracy and mean loss from one product of the test set with the model.
+
+    The loss is taken on the scores as a one-column matrix with weight 1.0:
+    ``1.0 * s`` is ``s``, so it has the bits of
+    ``mean_loss(loss, model, test.features, test.labels)``.
+    """
     scores = test.features @ model
-    preds = np.where(scores > 0.0, 1.0, -1.0)
-    accuracy = float(np.mean(preds == test.labels))
-    return accuracy, mean_loss(loss, model, test.features, test.labels)
+    accuracy = np.count_nonzero((scores > 0.0) == (test.labels > 0.0)) / len(scores)
+    return accuracy, mean_loss(loss, np.ones(1), scores[:, None], test.labels)
 
 
 # A selector picks the round's aggregated clients from the state, the config,

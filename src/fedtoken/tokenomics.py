@@ -1,11 +1,12 @@
 """Budgeted token issuance: contribution awards, participation set-asides.
 
-All amounts are integer microtokens (1e-6 token); arithmetic is exact, so
-the cumulative issue never exceeds the budget by even one unit.  Each round
-draws at most ``per_round_microtokens`` from the remaining budget, pays
-participation set-asides first (discounted by zeta^t for clients left out
-of aggregation), then splits the rest across the selected clients either
-proportionally to their clipped contributions or equally.
+All amounts are integer microtokens (1e-6 token) and all arithmetic is on
+integers, so the cumulative issue never exceeds the budget by even one unit.
+Each round draws at most ``per_round_microtokens`` from the remaining
+budget, pays participation set-asides first (discounted by zeta^t, computed
+once a round, for clients left out of aggregation), then splits the rest
+across the selected clients either proportionally to their clipped
+contributions or equally.
 
 Clients flagged as non-contributing (u <= 0) receive nothing that round.
 """
@@ -68,14 +69,19 @@ def allocate_pf(u: dict[int, float], pool: int) -> dict[int, int]:
     """
     if pool < 0:
         raise ValueError("pool must be >= 0")
-    weights = {c: Fraction(max(float(v), 0.0)) for c, v in u.items()}
-    total = sum(weights.values())
+    # each clipped weight is n / d with d a power of two, so the largest d
+    # is a common denominator and w = n * (den // d) / den exactly
+    ratios = [max(float(v), 0.0).as_integer_ratio() for v in u.values()]
+    den = max((d for _, d in ratios), default=1)
+    weights = [n * (den // d) for n, d in ratios]
+    total = sum(weights)
     if total == 0 or pool == 0:
         return {c: 0 for c in u}
-    quotas = {c: Fraction(pool) * w / total for c, w in weights.items()}
-    shares = {c: int(q) for c, q in quotas.items()}  # floor: quotas are >= 0
+    # the quota pool * w / total as floor and remainder over the same total
+    parts = {c: divmod(pool * w, total) for c, w in zip(u, weights)}
+    shares = {c: q for c, (q, _) in parts.items()}
     leftover = pool - sum(shares.values())
-    by_remainder = sorted(quotas, key=lambda c: (-(quotas[c] - shares[c]), c))
+    by_remainder = sorted(parts, key=lambda c: (-parts[c][1], c))
     for c in by_remainder[:leftover]:
         shares[c] += 1
     return shares
@@ -93,10 +99,11 @@ def allocate_ep(selected, pool: int) -> dict[int, int]:
 
 
 def _discounted(p0: int, zeta: float, t: int) -> int:
-    # exact decimal semantics: floor(p0 * zeta**t) evaluated in rationals
+    # exact decimal semantics: floor(p0 * zeta**t) with zeta = a / b in lowest terms
     if t <= 1:
         return p0
-    return int(p0 * Fraction(str(zeta)) ** t)
+    a, b = Fraction(str(zeta)).as_integer_ratio()
+    return p0 * a**t // b**t
 
 
 def participation_rewards(cohort, selection, t: int, policy: AllocationPolicy,
@@ -112,6 +119,7 @@ def participation_rewards(cohort, selection, t: int, policy: AllocationPolicy,
         raise ValueError("rounds are 1-based")
     selected = set(selection.selected)
     flagged = set(selection.flagged_non_contributing)
+    discounted = _discounted(p0, policy.discount_zeta, t)
     awards: dict[int, int] = {}
     for c in sorted(int(c) for c in cohort):
         if c in flagged:
@@ -119,7 +127,7 @@ def participation_rewards(cohort, selection, t: int, policy: AllocationPolicy,
         elif c in selected:
             awards[c] = p0 if policy.participation_for_selected else 0
         else:
-            awards[c] = _discounted(p0, policy.discount_zeta, t)
+            awards[c] = discounted
     return awards
 
 

@@ -3,9 +3,12 @@
 The dual-solver references work on the array API: a dense ``alpha`` with one
 dual coordinate per row of the dataset, and a step ``rho`` aligned with a
 partition's rows.  The Shapley references query games as ``tmc_shapley`` does.
+The token references compute in ``Fraction``s what ``tokenomics`` computes
+on integers.
 """
 
 import math
+from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Sequence
 
@@ -210,3 +213,27 @@ def scalar_local_solve(part, dataset, alpha: np.ndarray, model, loss: str, hyper
     rho_arr = np.array(rho)
     return LocalUpdate(client_id=part.client_id, rho=rho_arr,
                        delta_phi=X.T @ rho_arr / (hyper.lam * len(dataset)))
+
+
+def fraction_allocate_pf(u: dict[int, float], pool: int) -> dict[int, int]:
+    """``tokenomics.allocate_pf`` with each quota an exact ``Fraction``."""
+    if pool < 0:
+        raise ValueError("pool must be >= 0")
+    weights = {c: Fraction(max(float(v), 0.0)) for c, v in u.items()}
+    total = sum(weights.values())
+    if total == 0 or pool == 0:
+        return {c: 0 for c in u}
+    quotas = {c: Fraction(pool) * w / total for c, w in weights.items()}
+    shares = {c: int(q) for c, q in quotas.items()}  # floor: quotas are >= 0
+    leftover = pool - sum(shares.values())
+    by_remainder = sorted(quotas, key=lambda c: (-(quotas[c] - shares[c]), c))
+    for c in by_remainder[:leftover]:
+        shares[c] += 1
+    return shares
+
+
+def fraction_discounted(p0: int, zeta: float, t: int) -> int:
+    """``tokenomics._discounted``: floor(p0 * zeta**t) in ``Fraction``s."""
+    if t <= 1:
+        return p0
+    return int(p0 * Fraction(str(zeta)) ** t)

@@ -88,6 +88,17 @@ def test_weak_duality_for_random_feasible_states(gaussian_60x4, loss):
         assert gap >= -1e-9
 
 
+@pytest.mark.parametrize("loss", losses.LOSS_KINDS)
+def test_gap_is_primal_minus_dual_to_the_bit(gaussian_60x4, loss):
+    for seed in range(6):
+        alpha = _random_feasible_state(gaussian_60x4, loss, seed)
+        for lam in (1e-3, 0.05, 2.0):
+            w = phi_of_alpha(alpha, gaussian_60x4, lam)
+            want = (primal_objective(w, gaussian_60x4, loss, lam)
+                    - dual_objective(alpha, gaussian_60x4, loss, lam))
+            assert duality_gap(alpha, gaussian_60x4, loss, lam) == want
+
+
 def test_logistic_scalar_derivative_matches_finite_difference():
     gen = np.random.Generator(np.random.PCG64(123))
     h = 1e-6

@@ -426,6 +426,27 @@ def test_cli_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, capsys):
     assert f"{broken}:{line}: not UTF-8 (byte 0xff)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("newline", [b"\r", b"\r\n"])
+def test_a_bad_byte_is_named_by_its_universal_newline_line(tmp_path, capsys, newline):
+    # config and metrics files number their lines with universal newlines,
+    # so a bad byte on the third line is on line 3 whatever ends the lines
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_bytes(newline.join([b"[run]", b"seed = 1", b"\xe9 = 2", b""]))
+    assert cli.main(["run", "--config", str(cfg)]) == 1
+    assert f"{cfg}:3: not UTF-8 (byte 0xe9)" in capsys.readouterr().err
+    metrics = tmp_path / "metrics.jsonl"
+    metrics.write_bytes(newline.join([b'{"round": 1}', b'{"round": 2}',
+                                      b'{"round": "\xff"}', b""]))
+    assert cli.main(["report", str(metrics)]) == 1
+    assert f"{metrics}:3: not UTF-8 (byte 0xff)" in capsys.readouterr().err
+
+
+def test_cli_report_on_a_directory_is_a_validation_error(tmp_path, capsys):
+    assert cli.main(["report", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert f"cannot read {tmp_path}" in captured.err and captured.out == ""
+
+
 def test_cli_validation_exit_code(tmp_path):
     bad = tmp_path / "bad.ini"
     bad.write_text("[run]\nseed = 1\n[learning]\nlambda = -3\n", encoding="utf-8")

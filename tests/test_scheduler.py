@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from fedtoken import losses
 from fedtoken.config import ExperimentConfig, validate, with_overrides
 from fedtoken.dual import phi_of_alpha
+from fedtoken.data import Dataset
 from fedtoken.harness import build_simulation
 from fedtoken.rng import RngStream
 from fedtoken.scheduler import (FEDAVG_ALL, FEDTOKEN, RANDOM_QUOTA, RoundPlan,
-                                SelectionResult, aggregate, round_step,
+                                SelectionResult, _test_metrics, aggregate, round_step,
                                 sample_cohort, select_top_q)
 from fedtoken.valuation import ContributionVector
 
@@ -87,6 +89,21 @@ def _run_rounds(cfg, n):
     state = build_simulation(cfg)
     metrics = [round_step(state, cfg) for _ in range(n)]
     return state, metrics
+
+
+@pytest.mark.parametrize("loss", losses.LOSS_KINDS)
+def test_test_metrics_equal_the_two_product_form_to_the_bit(loss):
+    gen = np.random.Generator(np.random.PCG64(8))
+    features = gen.standard_normal((301, 5))
+    features[:7] = 0.0  # rows whose score is exactly 0.0: predicted -1
+    labels = np.where(gen.random(301) < 0.5, -1.0, 1.0)
+    test = Dataset(features, labels)
+    for model in (gen.standard_normal(5), np.zeros(5), gen.standard_normal(5) * 1e-3):
+        scores = features @ model
+        assert np.count_nonzero(scores == 0.0) >= 7
+        accuracy = float(np.mean(np.where(scores > 0.0, 1.0, -1.0) == labels))
+        test_loss = losses.mean_loss(loss, model, features, labels)
+        assert _test_metrics(model, test, loss) == (accuracy, test_loss)
 
 
 def test_round_plan_validation():

@@ -1,11 +1,20 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedtoken.ledger import MAX_AMOUNT
 from fedtoken.scheduler import SelectionResult
-from fedtoken.tokenomics import (AllocationPolicy, Budget, allocate_ep, allocate_pf,
+from fedtoken.tokenomics import (AllocationPolicy, Budget, _discounted, allocate_ep, allocate_pf,
                                  participation_rewards, settle_round)
 
+from oracles import fraction_allocate_pf, fraction_discounted
+
 M = 10**6
+# NaN is left out: select_top_q never selects a NaN contribution
+WEIGHTS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e300,
+                                     -1e300, -1.0, 1.0, 0.1, 1 / 3]),
+                    st.floats(allow_nan=False, allow_infinity=False),
+                    st.floats(-1.0, 1e3))
+POOLS = st.one_of(st.integers(0, 1000), st.integers(0, MAX_AMOUNT))
 
 
 def _policy(kind="pf", zeta=0.7, for_selected=False):
@@ -56,6 +65,28 @@ def test_pf_shares_are_scale_invariant(weights, pool, power):
     u = {i: float(w) for i, w in enumerate(weights)}
     scaled = {i: float(w) * 2.0**power for i, w in enumerate(weights)}
     assert allocate_pf(u, pool) == allocate_pf(scaled, pool)
+
+
+@settings(max_examples=300, deadline=None)
+@given(u=st.dictionaries(st.integers(0, 60), WEIGHTS, max_size=12), pool=POOLS)
+def test_pf_integer_split_equals_the_fraction_split(u, pool):
+    # the same shares, in the same order, as exact rational quotas give
+    assert list(allocate_pf(u, pool).items()) == list(fraction_allocate_pf(u, pool).items())
+
+
+def test_pf_integer_split_on_extreme_scales():
+    for u in ({0: 5e-324, 1: 1e300, 2: 1.0}, {0: 5e-324, 1: 5e-324, 2: 1e-300},
+              {3: 1e300, 1: 1e300, 2: -1e300}):
+        for pool in (0, 1, 2, 7, 10**6, MAX_AMOUNT):
+            assert allocate_pf(u, pool) == fraction_allocate_pf(u, pool)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p0=POOLS, zeta=st.one_of(st.sampled_from([0.7, 0.1, 0.9, 0.999999, 5e-324]),
+                                st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+       t=st.integers(0, 200))
+def test_discount_on_integers_equals_the_fraction_discount(p0, zeta, t):
+    assert _discounted(p0, zeta, t) == fraction_discounted(p0, zeta, t)
 
 
 def test_ep_equal_split():
