@@ -12,7 +12,7 @@ from .data import (ClientPartition, Dataset, InfeasiblePartitionError,
                    PartitionScheme, load_csv, partition, poison_labels, save_csv,
                    synth_gaussian, train_test_split)
 from .dual import (Cohort, CohortUpdate, GlobalModel, Hyperparams, LocalUpdate, commit,
-                   dual_objective, duality_gap, local_solve, primal_objective)
+                   duality_gap, local_solve)
 from .harness import RunResult, build_simulation, missing_contributions, run, sweep
 from .ledger import Block, Chain, LedgerFormatError, SequencingError, TokenTransaction
 from .rng import RngStream

@@ -95,30 +95,19 @@ class LocalUpdate:
 @dataclass(frozen=True)
 class CohortUpdate:
     updates: dict[int, LocalUpdate]  # by client id, in the cohort's order
-    upload_bytes: int                # what the cohort uploads, all clients together
+    upload_bytes: int                # what the solved clients upload, all together
 
 
 def upload_size(d: int) -> int:
     return 8 * d + UPLOAD_HEADER_BYTES
 
 
-def primal_objective(w: np.ndarray, dataset: Dataset, loss: str, lam: float) -> float:
-    return losses.mean_loss(loss, w, dataset.features, dataset.labels) \
-        + lam * 0.5 * float(w @ w)
-
-
 def phi_of_alpha(alpha: np.ndarray, dataset: Dataset, lam: float) -> np.ndarray:
     return dataset.features.T @ alpha / (lam * len(dataset))
 
 
-def dual_objective(alpha: np.ndarray, dataset: Dataset, loss: str, lam: float) -> float:
-    conj = float(losses.conjugate(loss, alpha, dataset.labels).sum())
-    phi = phi_of_alpha(alpha, dataset, lam)
-    return conj / len(dataset) - lam * 0.5 * float(phi @ phi)
-
-
 def duality_gap(alpha: np.ndarray, dataset: Dataset, loss: str, lam: float) -> float:
-    """``primal_objective(w) - dual_objective(alpha)`` at w = phi(alpha), to the bit.
+    """Primal minus dual objective at w = phi(alpha).
 
     Both objectives carry the same term lam/2 * |w|^2, formed here once.
     """

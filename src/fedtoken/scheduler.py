@@ -1,11 +1,13 @@
 """Per-round orchestration: cohort sampling, selection, aggregation.
 
-A round runs: sample a cohort, solve every member's local update in one
+A round runs: sample a cohort, solve its members' local updates in one
 lockstep cohort solve, value the updates (fedtoken policy only), pick at
 most ``quota`` of them, fold the chosen deltas into the global model with
 step weight nu, commit the matching dual steps, settle tokens, and append
 the round's block.  Clients that were not selected discard their step,
 which keeps the global model and the dual vector in exact correspondence.
+A delta-blind policy selects before the solve, so only the clients it keeps
+are solved; the whole cohort is still charged an upload.
 
 The reduction over selected deltas runs in ascending client-id order so
 floating-point sums are bit-reproducible.
@@ -14,6 +16,7 @@ floating-point sums are bit-reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -160,10 +163,10 @@ def _test_metrics(model: np.ndarray, test: Dataset, loss: str) -> tuple[float, f
 
 
 # A selector picks the round's aggregated clients from the state, the config,
-# the RoundPlan, the cohort's deltas and the run's root RngStream.  It returns
-# the selection, the contributions that allocation pays by (or None), the
-# efficiency residual (or None) and the utility context whose query counts the
-# round reports (or None).
+# the RoundPlan, the cohort's deltas (None for a delta-blind policy) and the
+# run's root RngStream.  It returns the selection, the contributions that
+# allocation pays by (or None), the efficiency residual (or None) and the
+# utility context whose query counts the round reports (or None).
 
 def _select_fedtoken(state, cfg, plan, deltas, root):
     ctx = UtilityContext(state.model.phi, deltas, state.test, cfg.loss,
@@ -188,12 +191,17 @@ def _select_random_quota(state, cfg, plan, deltas, root):
                            flagged_non_contributing=()), None, None, None
 
 
-SELECTORS = {
-    FEDTOKEN: _select_fedtoken,
-    FEDAVG_ALL: _select_fedavg_all,
-    RANDOM_QUOTA: _select_random_quota,
+class Policy(NamedTuple):
+    select: Callable
+    reads_deltas: bool  # if not, select runs before the solve, on the cohort alone
+
+
+POLICIES = {
+    FEDTOKEN: Policy(_select_fedtoken, reads_deltas=True),
+    FEDAVG_ALL: Policy(_select_fedavg_all, reads_deltas=False),
+    RANDOM_QUOTA: Policy(_select_random_quota, reads_deltas=False),
 }
-AGGREGATION_POLICIES = tuple(SELECTORS)
+AGGREGATION_POLICIES = tuple(POLICIES)
 
 
 def round_step(state: SimulationState, cfg) -> RoundMetrics:
@@ -214,17 +222,20 @@ def round_step(state: SimulationState, cfg) -> RoundMetrics:
         cohort = sample_cohort(cfg.n_clients, cfg.m_fraction, t, root)
         plan = RoundPlan(round=t, cohort=cohort, quota=cfg.resolved_quota)
         hyper = Hyperparams(lam=cfg.lam, local_passes=cfg.local_passes)
+        rule = POLICIES[cfg.aggregation]
 
-        solved = local_solve(Cohort(tuple(state.partitions[c] for c in cohort)),
-                             state.effective_train, state.alpha, state.model, cfg.loss,
-                             hyper, root.scoped(round=t, purpose="local-solve"))
-        updates = solved.updates
-        state.uploaded_bytes += solved.upload_bytes
+        phase = "valuation"
+        early = None if rule.reads_deltas else rule.select(state, cfg, plan, None, root)
+        phase = "local-solve"
+        to_solve = cohort if early is None else early[0].selected
+        updates = local_solve(Cohort(tuple(state.partitions[c] for c in to_solve)),
+                              state.effective_train, state.alpha, state.model, cfg.loss,
+                              hyper, root.scoped(round=t, purpose="local-solve")).updates
+        state.uploaded_bytes += len(cohort) * upload_size(state.effective_train.d)
         deltas = {c: upd.delta_phi for c, upd in updates.items()}
 
         phase = "valuation"
-        selection, u, residual, ctx = SELECTORS[cfg.aggregation](state, cfg, plan, deltas,
-                                                                 root)
+        selection, u, residual, ctx = early or rule.select(state, cfg, plan, deltas, root)
         phase = "aggregate"
         nu_round = _resolve_nu(cfg, len(selection.selected))
         phi_next = aggregate(state.model.phi, selection, deltas, nu_round)

@@ -2,9 +2,10 @@
 
 The dual-solver references work on the array API: a dense ``alpha`` with one
 dual coordinate per row of the dataset, and a step ``rho`` aligned with a
-partition's rows.  The Shapley references query games as ``tmc_shapley`` does.
-The token references compute in ``Fraction``s what ``tokenomics`` computes
-on integers.
+partition's rows.  The primal and dual objectives are the two halves that
+``dual.duality_gap`` inlines.  The Shapley references query games as
+``tmc_shapley`` does.  The token references compute in ``Fraction``s what
+``tokenomics`` computes on integers.
 """
 
 import math
@@ -15,7 +16,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from fedtoken import losses
-from fedtoken.dual import NEWTON_MAX_ITER, NEWTON_TOL, LocalUpdate, _solve_logistic
+from fedtoken.dual import (NEWTON_MAX_ITER, NEWTON_TOL, LocalUpdate, _solve_logistic,
+                           phi_of_alpha)
 from fedtoken.valuation import ContributionVector
 
 EXACT_SHAPLEY_MAX_PLAYERS = 10
@@ -88,6 +90,19 @@ def loss_values(kind: str, scores: np.ndarray, labels: np.ndarray) -> np.ndarray
     if kind == losses.LOGISTIC:
         return losses._softplus(-labels * scores)
     raise ValueError(f"unknown loss kind {kind!r}")
+
+
+def primal_objective(w: np.ndarray, dataset, loss: str, lam: float) -> float:
+    """Mean loss at the model w plus the regularizer lam/2 * |w|^2."""
+    return losses.mean_loss(loss, w, dataset.features, dataset.labels) \
+        + lam * 0.5 * float(w @ w)
+
+
+def dual_objective(alpha: np.ndarray, dataset, loss: str, lam: float) -> float:
+    """Mean conjugate at alpha minus lam/2 * |phi(alpha)|^2."""
+    conj = float(losses.conjugate(loss, alpha, dataset.labels).sum())
+    phi = phi_of_alpha(alpha, dataset, lam)
+    return conj / len(dataset) - lam * 0.5 * float(phi @ phi)
 
 
 def feasible_interval(kind: str, y_i: float) -> tuple[float, float]:

@@ -7,11 +7,12 @@ from fedtoken import losses
 from fedtoken.data import (ClientPartition, Dataset, PartitionScheme, partition,
                            synth_gaussian)
 from fedtoken.dual import (SQUARED_BLOCK, Cohort, GlobalModel, Hyperparams, _solve_logistic,
-                           commit, dual_objective, duality_gap, load_model, local_solve,
-                           phi_of_alpha, primal_objective, save_model, upload_size)
+                           commit, duality_gap, load_model, local_solve, phi_of_alpha,
+                           save_model, upload_size)
 from fedtoken.rng import RngStream
-from oracles import (coordinate_value, feasible_interval, is_feasible, local_gain,
-                     logit_residual, reference_solve_logistic, scalar_local_solve)
+from oracles import (coordinate_value, dual_objective, feasible_interval, is_feasible,
+                     local_gain, logit_residual, primal_objective, reference_solve_logistic,
+                     scalar_local_solve)
 
 
 def solve_one(part, *args):
@@ -273,6 +274,37 @@ def test_squared_blocks_match_the_scalar_loop_across_block_edges(lam, passes):
             g, w = getattr(got, field), getattr(want, field)
             assert g.shape == w.shape
             assert np.linalg.norm(g - w) <= 1e-12 * np.linalg.norm(w), (part.client_id, field)
+
+
+@pytest.mark.parametrize("passes", (1, 3))
+@pytest.mark.parametrize("loss", losses.LOSS_KINDS)
+@pytest.mark.parametrize("make_cohort", (_ragged_cohort, _block_edge_cohort))
+def test_a_sub_cohort_solves_each_client_as_the_whole_cohort_does(make_cohort, loss, passes):
+    # a delta-blind policy solves only the clients it keeps, so a client's
+    # update must not depend on who else is solved.  Logistic steps are per
+    # client, so they are bit-equal.  A squared pass runs in blocks up to the
+    # cohort's largest client: the block width follows it, which regroups
+    # the batched matmul's sums, so they agree to rounding
+    ds, cohort = make_cohort()
+    alpha = _random_feasible_state(ds, loss, 29)
+    model = GlobalModel(np.linspace(-0.4, 0.4, ds.d), 0)
+    hyper = Hyperparams(lam=0.05, local_passes=passes)
+    stream = RngStream(7, round=4, purpose="local-solve")
+    whole = local_solve(cohort, ds, alpha, model, loss, hyper, stream).updates
+    gen = np.random.Generator(np.random.PCG64(passes))
+    subsets = [cohort.partitions[:1], cohort.partitions[-2:], cohort.partitions[::2]]
+    subsets += [tuple(cohort.partitions[i] for i in sorted(gen.choice(
+        len(cohort.partitions), size=k, replace=False))) for k in (2, 3, 4, 5)]
+    for sub in subsets:
+        solved = local_solve(Cohort(sub), ds, alpha, model, loss, hyper, stream)
+        assert list(solved.updates) == [p.client_id for p in sub]
+        for c, got in solved.updates.items():
+            for field in ("rho", "delta_phi"):
+                g, w = getattr(got, field), getattr(whole[c], field)
+                if loss == losses.LOGISTIC:
+                    assert g.tobytes() == w.tobytes(), (c, field)
+                else:
+                    assert np.linalg.norm(g - w) <= 1e-15 * np.linalg.norm(w), (c, field)
 
 
 def test_cohort_length_counts_its_rows():

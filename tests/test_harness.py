@@ -105,9 +105,20 @@ FAILING_CALLEES = {
 }
 
 
-@pytest.mark.parametrize("phase", FAILING_CALLEES)
-def test_error_summary_names_the_failed_phase(tmp_path, monkeypatch, phase):
-    module_name, name = FAILING_CALLEES[phase].rsplit(".", 1)
+# a delta-blind policy selects before the solve: a failure in its selector
+# (random-quota builds one SelectionResult a round) is in the valuation
+# phase, not in the local solve that follows it
+FAILING_CASES = [pytest.param(phase, "fedtoken", callee, id=phase)
+                 for phase, callee in FAILING_CALLEES.items()]
+FAILING_CASES.append(pytest.param("valuation", "random-quota",
+                                  "fedtoken.scheduler.SelectionResult",
+                                  id="valuation-random-quota"))
+
+
+@pytest.mark.parametrize("phase, aggregation, callee", FAILING_CASES)
+def test_error_summary_names_the_failed_phase(tmp_path, monkeypatch, phase, aggregation,
+                                              callee):
+    module_name, name = callee.rsplit(".", 1)
     module = importlib.import_module(module_name)
     real, calls = getattr(module, name), []
 
@@ -119,7 +130,7 @@ def test_error_summary_names_the_failed_phase(tmp_path, monkeypatch, phase):
 
     monkeypatch.setattr(module, name, fail_on_second_call)
     with pytest.raises(RuntimeError, match="broke"):
-        run(make_cfg(rounds=3), tmp_path)
+        run(make_cfg(rounds=3, aggregation=aggregation), tmp_path)
     summary = read_metrics(tmp_path / "metrics.jsonl")[-1]
     assert summary["stop_reason"] == "error" and summary["failed_round"] == 2
     assert summary["failed_phase"] == phase

@@ -182,6 +182,23 @@ def test_random_quota_is_deterministic_and_valuation_free():
         assert len(a.selected) == cfg.resolved_quota
 
 
+def test_random_quota_solves_only_the_selected_clients(monkeypatch):
+    from fedtoken import scheduler
+    real, solved = scheduler.local_solve, []
+
+    def recording_solve(part, *args):
+        solved.append(tuple(p.client_id for p in part.partitions))
+        return real(part, *args)
+
+    monkeypatch.setattr(scheduler, "local_solve", recording_solve)
+    cfg = make_cfg(aggregation=RANDOM_QUOTA, m_fraction=0.75, quota=2, rounds=4)
+    _, metrics = _run_rounds(cfg, 4)
+    assert solved == [m.selected for m in metrics]
+    cohort = 6  # ceil(0.75 * 8), every member uploads
+    assert metrics[-1].uploaded_bytes == 4 * cohort * (8 * cfg.dim + 64)
+    assert all(m.utility_queries == 0 and len(m.rejected) == cohort - 2 for m in metrics)
+
+
 def test_bytes_accounting_counts_cohort_and_selected():
     cfg = make_cfg(rounds=3, quota=2)
     state, metrics = _run_rounds(cfg, 3)
