@@ -63,8 +63,13 @@ def main() -> int:
     args = parser.parse_args()
     seeds = [int(s) for s in args.seeds.split(",")]
     out = Path(args.out) if args.out else None
-    workdir = Path(tempfile.mkdtemp(prefix="fedtoken-compare-"))
+    with tempfile.TemporaryDirectory(prefix="fedtoken-compare-") as workdir:
+        print_table(seeds, Path(workdir), out)
+    return 0
 
+
+def print_table(seeds: list[int], workdir: Path, out: Path | None) -> None:
+    """Print rounds to the target accuracy per seed and policy, and their means."""
     header = f"{'seed':>6}  {'poisoned':>10}" + "".join(f"  {p:>14}" for p in POLICIES)
     print(header)
     print("-" * len(header))
@@ -84,7 +89,6 @@ def main() -> int:
     print("-" * len(header))
     means = "".join(f"  {np.mean(totals[p]):>14.1f}" for p in POLICIES)
     print(f"{'mean':>6}  {'':>10}{means}   (rounds to 70% accuracy; never = horizon + 1)")
-    return 0
 
 
 if __name__ == "__main__":

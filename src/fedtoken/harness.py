@@ -4,7 +4,9 @@ A run writes four files into the output directory:
 
 * ``metrics.jsonl``  - one JSON record per executed round plus a final
   summary record (sorted keys, so identical configs produce identical bytes)
-* ``ledger.ftlg``    - the hash-chained token ledger
+* ``ledger.ftlg``    - the hash-chained token ledger, written block by block
+  through one unbuffered handle, so each round's block is in the file when
+  the round ends; a run with no block leaves the 6-byte header alone
 * ``model.bin``      - final model snapshot
 * ``summary.json``   - the summary record on its own, for convenience
 
@@ -129,19 +131,20 @@ def run(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> RunResult:
     """
     state = build_simulation(cfg)
     out = Path(out_dir) if out_dir is not None else None
-    metrics_fh = None
-    ledger_path = None
+    metrics_fh = ledger_fh = None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         metrics_fh = open(out / METRICS_FILE, "w", encoding="utf-8", newline="\n")
-        ledger_path = out / LEDGER_FILE
 
     metrics: list[RoundMetrics] = []
     stop_reason = "horizon"
     failed_round = None
     # the phase in progress; None while round_step runs, as it names its own
-    phase = None
+    phase = "write"
     try:
+        if out is not None:
+            ledger_fh = open(out / LEDGER_FILE, "wb", buffering=0)
+            ledger_fh.write(ledger_mod.Chain().to_bytes())
         for _ in range(cfg.rounds):
             failed_round = state.round + 1
             phase = None
@@ -151,9 +154,8 @@ def run(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> RunResult:
                 metrics_fh.write(_json_line(m.to_record()))
                 metrics_fh.flush()
             metrics.append(m)
-            if ledger_path is not None:
-                ledger_mod.append_to_file(ledger_path, state.chain,
-                                          state.chain.blocks[-1])
+            if ledger_fh is not None:
+                ledger_mod.append_to_file(ledger_fh, state.chain.blocks[-1])
             if state.budget.exhausted:
                 stop_reason = "budget-exhausted"
                 break
@@ -175,6 +177,8 @@ def run(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> RunResult:
     finally:
         if metrics_fh is not None:
             metrics_fh.close()
+        if ledger_fh is not None:
+            ledger_fh.close()
     if out is not None:
         save_model(out / MODEL_FILE, state.model.phi)
         _write_summary(out, summary)

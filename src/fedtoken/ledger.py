@@ -186,13 +186,16 @@ class Chain:
         return cls.from_bytes(Path(path).read_bytes())
 
 
-def append_to_file(path: str | Path, chain: Chain, block: Block) -> None:
-    """Persist a freshly appended block; writes the header on first use."""
-    if block.index == 0 or not Path(path).exists():
-        Chain(chain.blocks[:block.index + 1]).write(path)
-    else:
-        with open(path, "ab") as fh:
-            fh.write(block.to_bytes())
+def append_to_file(fh, block: Block) -> None:
+    """Persist a freshly appended block through an open binary ledger file.
+
+    The file already holds the header (``Chain().to_bytes()``) and every
+    earlier block.  On an unbuffered handle this is one ``write`` call, so
+    the block is in the file when the call returns.
+    """
+    view = memoryview(block.to_bytes())
+    while view:  # a raw handle may write short
+        view = view[fh.write(view):]
 
 
 def _parse_blocks(blob: bytes) -> tuple[list[Block], LedgerFormatError | None]:

@@ -65,6 +65,8 @@ def test_nan_in_a_round_record_is_not_written_as_json(tmp_path, monkeypatch):
     assert summary["failed_phase"] == "write"
     assert summary["rounds_executed"] == 0 and "JSON" in summary["error"]
     assert json.loads((tmp_path / "summary.json").read_text(encoding="utf-8")) == summary
+    # the ledger was opened with its header before round 1 failed
+    assert verify_file(tmp_path / "ledger.ftlg") == (None, 0)
 
 
 def _reject(constant):
@@ -144,6 +146,40 @@ def test_zero_rounds_returns_the_initial_model(tmp_path):
     assert res.metrics == []
     assert res.summary["rounds_executed"] == 0
     assert np.array_equal(res.state.model.phi, np.zeros(cfg.dim))
+
+
+def test_ledger_holds_each_block_when_its_round_ends(tmp_path, monkeypatch):
+    # the run holds the ledger open; every block must reach the file at once
+    from fedtoken import harness
+    real_round_step = harness.scheduler.round_step
+    seen = []
+
+    def check_ledger_then_step(state, cfg):
+        seen.append(verify_file(tmp_path / "ledger.ftlg"))
+        return real_round_step(state, cfg)
+
+    monkeypatch.setattr(harness.scheduler, "round_step", check_ledger_then_step)
+    run(make_cfg(rounds=4), tmp_path)
+    assert seen == [(None, t) for t in range(4)]
+    assert verify_file(tmp_path / "ledger.ftlg") == (None, 4)
+
+
+def test_a_ledger_that_cannot_be_opened_ends_the_run_with_an_error_summary(tmp_path):
+    (tmp_path / "ledger.ftlg").mkdir()
+    with pytest.raises(IsADirectoryError):
+        run(make_cfg(rounds=2), tmp_path)
+    summary = read_metrics(tmp_path / "metrics.jsonl")[-1]
+    assert summary["stop_reason"] == "error" and summary["rounds_executed"] == 0
+    assert summary["failed_round"] is None and summary["failed_phase"] == "write"
+
+
+def test_zero_round_run_leaves_a_header_only_ledger(tmp_path, capsys):
+    run(make_cfg(rounds=0), tmp_path)
+    path = tmp_path / "ledger.ftlg"
+    assert path.read_bytes() == Chain().to_bytes()
+    assert verify_file(path) == (None, 0)
+    assert cli.main(["ledger", "verify", str(path)]) == 0
+    assert capsys.readouterr().out == "ok: 0 blocks verified\n"
 
 
 def test_metrics_and_ledger_agree_on_totals(tmp_path):

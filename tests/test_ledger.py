@@ -181,18 +181,37 @@ def test_file_round_trip_and_incremental_append(tmp_path):
     full_path = tmp_path / "full.ftlg"
     inc_path = tmp_path / "inc.ftlg"
     chain = Chain()
-    for t in range(1, 5):
-        chain.append_block(t, _allocation(t, {t: t * 11}))
-        append_to_file(inc_path, chain, chain.blocks[-1])
+    with open(inc_path, "wb", buffering=0) as fh:
+        fh.write(Chain().to_bytes())
+        for t in range(1, 5):
+            chain.append_block(t, _allocation(t, {t: t * 11}))
+            append_to_file(fh, chain.blocks[-1])
+            # unbuffered: the block is in the file before the handle closes
+            assert Chain.load(inc_path).blocks == chain.blocks
     chain.write(full_path)
     assert full_path.read_bytes() == inc_path.read_bytes()
     loaded = Chain.load(full_path)
     assert loaded.verify() is None
     assert loaded.total_issued() == chain.total_issued()
-    # a file that is gone after round 1 starts again with the chain up to the block
-    inc_path.unlink()
-    append_to_file(inc_path, chain, chain.blocks[2])
-    assert Chain.load(inc_path).blocks == chain.blocks[:3]
+
+
+class _ShortWriter:
+    """A raw file that takes at most three bytes a write."""
+
+    def __init__(self):
+        self.data = bytearray()
+
+    def write(self, view):
+        self.data += view[:3]
+        return min(len(view), 3)
+
+
+def test_append_to_file_finishes_a_short_write():
+    chain = _sample_chain(2)
+    fh = _ShortWriter()
+    for block in chain.blocks:
+        append_to_file(fh, block)
+    assert bytes(fh.data) == chain.to_bytes()[6:]
 
 
 def test_serialization_is_deterministic():
