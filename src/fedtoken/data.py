@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,8 @@ import numpy as np
 from .rng import RngStream
 
 VALID_SCHEMES = ("iid", "label-shards", "dirichlet")
+# rows folded into the triangular factor at a time
+FACTOR_BLOCK = 256
 
 
 class InfeasiblePartitionError(ValueError):
@@ -49,6 +52,11 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.features.shape[1]
+
+    @cached_property
+    def triangular_factor(self) -> np.ndarray:
+        """``streamed_r_factor`` of this dataset, built on first use and kept."""
+        return streamed_r_factor(self.features, self.labels)
 
     def with_labels(self, labels: np.ndarray) -> "Dataset":
         return Dataset(self.features, labels)
@@ -92,6 +100,23 @@ class PartitionScheme:
         if not 0.0 < self.dirichlet_beta < math.inf:
             raise ValueError("dirichlet_beta must be a finite number > 0, "
                              f"not {self.dirichlet_beta!r}")
+
+
+def streamed_r_factor(features: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """``R`` of ``[features | labels] = Q R``: read-only, min(n, d + 1) x (d + 1).
+
+    ``|R @ v| == |[features | labels] @ v|`` for every ``v``, so a quadratic
+    form in the samples can be taken on ``R``'s few rows.  The rows are
+    folded into the factor so far ``FACTOR_BLOCK`` at a time (a sequential
+    TSQR), so no copy of the whole table is made.
+    """
+    r = np.empty((0, features.shape[1] + 1))
+    for start in range(0, len(labels), FACTOR_BLOCK):
+        rows = slice(start, start + FACTOR_BLOCK)
+        block = np.column_stack((features[rows], labels[rows]))
+        r = np.linalg.qr(np.vstack((r, block)), mode="r")
+    r.flags.writeable = False
+    return r
 
 
 def _partition_iid(n: int, n_clients: int, gen: np.random.Generator) -> list[np.ndarray]:

@@ -171,9 +171,6 @@ class Chain:
         header = LEDGER_MAGIC + struct.pack(">H", LEDGER_VERSION)
         return header + b"".join(block.to_bytes() for block in self.blocks)
 
-    def write(self, path: str | Path) -> None:
-        Path(path).write_bytes(self.to_bytes())
-
     @classmethod
     def from_bytes(cls, blob: bytes) -> "Chain":
         blocks, error = _parse_blocks(blob)

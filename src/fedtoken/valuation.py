@@ -22,11 +22,13 @@ how the base column and the score rows are built depends on the loss:
 * Squared loss is a quadratic form in the candidate model.  With
   ``M = [X_test @ phi_t - y_test, X_test @ deltas.T]`` (n_test x (m + 1))
   and ``u`` the subset's weights on the clients, the candidate's test loss
-  is ``|M @ [1, u]|**2 / (2 n_test)``.  ``M = Q R`` leaves that norm
-  unchanged under ``R``, which has at most m + 1 rows, so the context keeps
-  ``R * sqrt(rows / n_test)``: its first column is the base and the others,
-  transposed, the score rows.  A miss then scores at most m + 1 rows,
-  whatever n_test is.
+  is ``|M @ [1, u]|**2 / (2 n_test)``.  ``M`` is ``[X_test | y_test] @ T``
+  for the small ``T = [[phi_t, deltas.T], [-1, 0]]``, and ``[X_test |
+  y_test] = Q R0`` leaves that norm unchanged under ``R0 @ T``.  The test
+  set builds ``R0`` (``Dataset.triangular_factor``) once and keeps it for
+  the run, so a round only forms ``R0 @ T``, times ``sqrt(rows / n_test)``:
+  its first column is the base and the others, transposed, the score rows.
+  A miss then scores at most d + 1 rows, whatever n_test and m are.
 * Logistic loss is not a quadratic form, so its context works on the test
   set: the base is the round-start scores ``X_test @ phi_t`` and one GEMM
   gives the score rows ``deltas @ X_test.T``.  The loss of a score ``z``
@@ -105,8 +107,9 @@ class UtilityContext:
     moved from the last scored mask by the bits set in ``key ^ last`` and
     restarted from zero when that adds fewer rows.  The loss picks only the
     base column and the score rows, when the context is built (see the
-    module docstring): n is at most m + 1 for squared loss and n_test for
-    logistic loss.
+    module docstring): n is at most d + 1 for squared loss, on the test
+    set's factor that every round's context shares, and n_test for logistic
+    loss.
     """
 
     def __init__(self, phi_t: np.ndarray, deltas: dict[int, np.ndarray],
@@ -198,19 +201,20 @@ class UtilityContext:
 
 def _compress(phi_t: np.ndarray, deltas: np.ndarray,
               test_set: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """The base column and (m, rows) score rows, rows <= m + 1, of every squared test loss.
+    """The base column and (m, rows) score rows, rows <= d + 1, of every squared test loss.
 
-    They are the triangular factor of the residual and score columns
-    ``M = [X @ phi_t - y, X @ deltas.T]``, scaled by ``sqrt(rows / n_test)``
-    so that their mean loss, taken over fewer rows, is the test set's.
+    They are ``R0 @ [[phi_t, deltas.T], [-1, 0]]`` for the test set's
+    triangular factor ``R0``, which is built once for the run, scaled by
+    ``sqrt(rows / n_test)`` so that their mean loss, taken over fewer rows,
+    is the test set's.
     """
-    features = test_set.features
-    columns = np.empty((features.shape[0], deltas.shape[0] + 1))
-    np.subtract(features @ phi_t, test_set.labels, out=columns[:, 0])
-    columns[:, 1:] = features @ deltas.T
-    r = np.linalg.qr(columns, mode="r")
-    r *= math.sqrt(r.shape[0] / features.shape[0])
-    return r[:, 0], r[:, 1:].T
+    r0 = test_set.triangular_factor
+    features, labels = r0[:, :-1], r0[:, -1]
+    scale = math.sqrt(r0.shape[0] / len(test_set))
+    base = (features @ phi_t - labels) * scale
+    scores = deltas @ features.T
+    scores *= scale
+    return base, scores
 
 
 def _split_on_grids(scores: np.ndarray) -> np.ndarray:

@@ -310,3 +310,17 @@ def test_csv_load_matches_the_line_loop_on_any_text(tmp_path_factory, rows, head
                     encoding="utf-8", newline="")
     assert (_csv_outcome(lambda: load_csv(path, header=header))
             == _csv_outcome(lambda: _load_by_line_loop(path, header)))
+
+
+@pytest.mark.parametrize("n,d", [(4, 8), (256, 3), (300, 5), (1000, 7), (2 * 256, 1)])
+def test_streamed_triangular_factor_keeps_every_norm_of_the_table(n, d):
+    gen = np.random.Generator(np.random.PCG64(n + d))
+    ds = Dataset(gen.standard_normal((n, d)), np.where(gen.random(n) < 0.5, -1.0, 1.0))
+    table = np.column_stack((ds.features, ds.labels))
+    direct = np.linalg.qr(table, mode="r")
+    stream = ds.triangular_factor
+    assert stream.shape == direct.shape == (min(n, d + 1), d + 1)
+    for u in gen.standard_normal((20, d + 1)):
+        expected = np.linalg.norm(direct @ u)
+        assert abs(np.linalg.norm(stream @ u) - expected) <= 1e-12 * expected
+        assert abs(np.linalg.norm(table @ u) - expected) <= 1e-12 * expected

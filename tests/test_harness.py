@@ -182,6 +182,24 @@ def test_zero_round_run_leaves_a_header_only_ledger(tmp_path, capsys):
     assert capsys.readouterr().out == "ok: 0 blocks verified\n"
 
 
+@pytest.mark.parametrize("loss,builds", [("squared", 1), ("logistic", 0)])
+def test_a_run_factors_its_test_set_at_most_once(tmp_path, monkeypatch, loss, builds):
+    # squared valuation takes every round's scores from one factor of the test set
+    from fedtoken import data
+    real = data.streamed_r_factor
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(data, "streamed_r_factor", counted)
+    res = run(make_cfg(loss=loss, rounds=3), tmp_path)
+    assert len(res.metrics) == 3
+    assert all(r.utility_evaluations > 0 for r in res.metrics)
+    assert len(calls) == builds
+
+
 def test_metrics_and_ledger_agree_on_totals(tmp_path):
     cfg = make_cfg(rounds=6)
     res = run(cfg, tmp_path)

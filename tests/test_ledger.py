@@ -99,7 +99,7 @@ def test_rehashed_chain_that_breaks_a_writer_invariant_is_detected(tmp_path, for
                for a, b in zip(forged.blocks, forged.blocks[1:]))
     assert forged.verify() == 2
     path = tmp_path / "ledger.ftlg"
-    forged.write(path)
+    path.write_bytes(forged.to_bytes())
     assert verify_file(path) == (2, 4)
     assert _rehashed(chain, 2, chain.blocks[2].transactions).verify() is None
 
@@ -118,7 +118,7 @@ def test_sequencing_errors():
 def test_amount_bit_flip_is_detected_at_its_block(tmp_path):
     chain = _sample_chain(4)
     path = tmp_path / "ledger.ftlg"
-    chain.write(path)
+    path.write_bytes(chain.to_bytes())
     blob = bytearray(path.read_bytes())
     # locate block 2's first tx amount: header 6 + two blocks before it
     block_sizes = [len(b.to_bytes()) for b in chain.blocks]
@@ -132,7 +132,7 @@ def test_amount_bit_flip_is_detected_at_its_block(tmp_path):
 def test_truncating_the_last_block_leaves_a_valid_prefix(tmp_path):
     chain = _sample_chain(3)
     path = tmp_path / "ledger.ftlg"
-    chain.write(path)
+    path.write_bytes(chain.to_bytes())
     blob = path.read_bytes()
     last_size = len(chain.blocks[-1].to_bytes())
     path.write_bytes(blob[:-last_size])
@@ -188,7 +188,7 @@ def test_file_round_trip_and_incremental_append(tmp_path):
             append_to_file(fh, chain.blocks[-1])
             # unbuffered: the block is in the file before the handle closes
             assert Chain.load(inc_path).blocks == chain.blocks
-    chain.write(full_path)
+    full_path.write_bytes(chain.to_bytes())
     assert full_path.read_bytes() == inc_path.read_bytes()
     loaded = Chain.load(full_path)
     assert loaded.verify() is None
@@ -256,7 +256,7 @@ def test_random_allocation_sequences_always_verify(seed, n_rounds):
 def test_random_bit_flips_are_always_detected(tmp_path):
     chain = _sample_chain(6)
     path = tmp_path / "ledger.ftlg"
-    chain.write(path)
+    path.write_bytes(chain.to_bytes())
     blob = path.read_bytes()
     sizes = [len(b.to_bytes()) for b in chain.blocks]
     starts = np.cumsum([6] + sizes).tolist()

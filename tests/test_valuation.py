@@ -4,7 +4,7 @@ from itertools import combinations, permutations
 import numpy as np
 import pytest
 
-from fedtoken import losses, valuation
+from fedtoken import data, losses, valuation
 from fedtoken.data import Dataset
 from fedtoken.rng import RngStream
 from fedtoken.valuation import (UtilityContext, draw_permutations, efficiency_residual,
@@ -194,14 +194,40 @@ def _check_every_subset_against_its_candidate_model(loss, n_test, m, d, weightin
         assert abs(ctx.value(key) - expected) <= 1e-12, members
 
 
-@pytest.mark.parametrize("n_test,m,d", [(2000, 10, 20), (4, 10, 3)],
-                         ids=["tall", "fewer-rows-than-clients"])
+@pytest.mark.parametrize("n_test,m,d", [(2000, 10, 20), (4, 10, 3), (4, 10, 8),
+                                         (300, 10, 5)],
+                         ids=["tall", "fewer-rows-than-clients",
+                              "fewer-rows-than-columns", "part-block"])
 @pytest.mark.parametrize("weighting,nu", [("mean", 1.0), ("sum", 0.3)])
 def test_squared_value_on_the_compressed_test_set_matches_the_candidate_model(
         n_test, m, d, weighting, nu):
-    # a squared context scores every subset on at most m + 1 rows, not n_test
+    # a squared context scores every subset on the test set's triangular
+    # factor, min(n_test, d + 1) rows, not n_test
     _check_every_subset_against_its_candidate_model(losses.SQUARED, n_test, m, d,
                                                     weighting, nu)
+
+
+def test_squared_contexts_on_one_test_set_share_one_factor(monkeypatch):
+    builds = []
+    real = data.streamed_r_factor
+
+    def counted(*args):
+        builds.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(data, "streamed_r_factor", counted)
+    test = _test_set(4)
+    gen = np.random.Generator(np.random.PCG64(4))
+    UtilityContext(np.zeros(3), {c: gen.standard_normal(3) for c in range(4)}, test,
+                   losses.LOGISTIC)
+    assert builds == []
+    for round_ in range(2):
+        deltas = {c: gen.standard_normal(3) for c in range(3 + round_)}
+        UtilityContext(gen.standard_normal(3), deltas, test, losses.SQUARED)
+    factor = test.triangular_factor
+    assert test.triangular_factor is factor
+    assert len(builds) == 1
+    assert not factor.flags.writeable
 
 
 @pytest.mark.parametrize("weighting,nu", [("mean", 1.0), ("sum", 0.3)])
