@@ -15,11 +15,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from fedtoken.config import ExperimentConfig, validate
-from fedtoken.harness import sweep
-
-COLUMNS = ("value", "rounds_executed", "rounds_to_target_accuracy",
-           "final_test_accuracy", "tokens_issued_microtokens",
-           "uploaded_bytes", "committed_bytes", "utility_queries")
+from fedtoken.harness import SWEEP_COLUMNS, sweep
 
 
 def main() -> int:
@@ -38,9 +34,9 @@ def main() -> int:
     ))
     ratios = [float(r) for r in args.ratios.split(",")]
     rows = sweep(cfg, "quota_ratio", ratios, args.out)
-    print("  ".join(f"{c:>26}" for c in COLUMNS))
+    print("  ".join(f"{c:>26}" for c in SWEEP_COLUMNS))
     for row in rows:
-        print("  ".join(f"{str(row[c]):>26}" for c in COLUMNS))
+        print("  ".join(f"{str(row[c]):>26}" for c in SWEEP_COLUMNS))
     return 0
 
 

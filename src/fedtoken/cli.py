@@ -84,12 +84,9 @@ def _cmd_sweep(args) -> int:
     if not values:
         raise ConfigError("--values must contain at least one number")
     rows = harness.sweep(cfg, args.axis, values, args.out)
-    cols = ("value", "rounds_executed", "rounds_to_target_accuracy",
-            "final_test_accuracy", "tokens_issued_microtokens",
-            "uploaded_bytes", "committed_bytes", "utility_queries")
-    print("  ".join(cols))
+    print("  ".join(harness.SWEEP_COLUMNS))
     for row in rows:
-        print("  ".join(str(row[c]) for c in cols))
+        print("  ".join(str(row[c]) for c in harness.SWEEP_COLUMNS))
     return EXIT_OK
 
 
@@ -108,7 +105,7 @@ def _cmd_ledger(args) -> int:
         return EXIT_OK
     chain = ledger.Chain.load(path)
     if args.ledger_command == "balance":
-        print(chain.balance_of(args.client_id))
+        print(chain.balances().get(args.client_id, 0))
         return EXIT_OK
     try:
         txs = chain.query_round(args.round)

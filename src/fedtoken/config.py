@@ -43,18 +43,12 @@ def _parse_nu(raw: str):
     return float(raw)
 
 
-def _parse_opt_int(raw: str):
-    raw = raw.strip()
-    if raw in ("", "none"):
-        return None
-    return int(raw)
-
-
-def _parse_opt_float(raw: str):
-    raw = raw.strip()
-    if raw in ("", "none"):
-        return None
-    return float(raw)
+def _optional(parse):
+    """``parse``, except that an empty value or ``none`` reads as None."""
+    def parse_optional(raw: str):
+        raw = raw.strip()
+        return None if raw in ("", "none") else parse(raw)
+    return parse_optional
 
 
 def _key(section: str, key: str, parse, default=MISSING):
@@ -87,8 +81,8 @@ class ExperimentConfig:
     # federation
     n_clients: int = _key("federation", "n_clients", int, 100)
     m_fraction: float = _key("federation", "m_fraction", float, 0.1)
-    quota: int | None = _key("federation", "quota", _parse_opt_int, None)
-    quota_ratio: float | None = _key("federation", "quota_ratio", _parse_opt_float, None)
+    quota: int | None = _key("federation", "quota", _optional(int), None)
+    quota_ratio: float | None = _key("federation", "quota_ratio", _optional(float), None)
     rounds: int = _key("federation", "rounds", int, 50)
     # valuation
     delta: int = _key("valuation", "delta", int, 4)
@@ -100,9 +94,9 @@ class ExperimentConfig:
     # tokens
     total_tokens: int = _key("tokens", "total_tokens", int, 1000)
     per_round_microtokens: int | None = _key("tokens", "per_round_microtokens",
-                                             _parse_opt_int, None)
+                                             _optional(int), None)
     participation_base_microtokens: int | None = _key(
-        "tokens", "participation_base_microtokens", _parse_opt_int, None)
+        "tokens", "participation_base_microtokens", _optional(int), None)
     allocation: str = _key("tokens", "allocation", str.strip, tokenomics.PROPORTIONAL_FAIR)
     zeta: float = _key("tokens", "zeta", float, 0.7)
     participation_for_selected: bool = _key("tokens", "participation_for_selected",
@@ -110,14 +104,14 @@ class ExperimentConfig:
 
     @property
     def cohort_size(self) -> int:
-        return max(1, math.ceil(self.m_fraction * self.n_clients))
+        return scheduler.ceil_share(self.m_fraction, self.n_clients)
 
     @property
     def resolved_quota(self) -> int:
         if self.quota is not None:
             return self.quota
         ratio = 0.5 if self.quota_ratio is None else self.quota_ratio
-        return max(1, math.ceil(ratio * self.cohort_size))
+        return scheduler.ceil_share(ratio, self.cohort_size)
 
     @property
     def total_microtokens(self) -> int:
@@ -215,6 +209,8 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
         fail("weighting", f"must be one of {valuation.WEIGHTINGS}")
     if any(not 0 <= c < cfg.n_clients for c in cfg.poison_clients):
         fail("poison_clients", f"ids must lie in [0, {cfg.n_clients})")
+    if len(set(cfg.poison_clients)) != len(cfg.poison_clients):
+        fail("poison_clients", "ids must be distinct")
     if not 0.0 <= cfg.flip_fraction <= 1.0:
         fail("flip_fraction", "must be in [0, 1]")
     if cfg.total_tokens < 1:

@@ -66,7 +66,6 @@ class Hyperparams:
 @dataclass(frozen=True)
 class GlobalModel:
     phi: np.ndarray
-    round: int = 0
 
     def __post_init__(self):
         phi = np.asarray(self.phi, dtype=np.float64)

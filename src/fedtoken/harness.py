@@ -32,7 +32,16 @@ from .dual import GlobalModel, save_model
 from .rng import RngStream
 from .scheduler import RoundMetrics, SimulationState
 
-SWEEP_AXES = ("quota_ratio", "delta", "budget")
+# axis -> (the type its config field holds, the config overrides for a value)
+SWEEP_AXES = {
+    "quota_ratio": (float, lambda v: {"quota": None, "quota_ratio": v}),
+    "delta": (int, lambda v: {"delta": v}),
+    "budget": (int, lambda v: {"total_tokens": v, "per_round_microtokens": None}),
+}
+# one sweep row's fields after "axis": the value, then per-run totals
+SWEEP_COLUMNS = ("value", "rounds_executed", "rounds_to_target_accuracy",
+                 "final_test_accuracy", "tokens_issued_microtokens",
+                 "uploaded_bytes", "committed_bytes", "utility_queries")
 
 METRICS_FILE = "metrics.jsonl"
 LEDGER_FILE = "ledger.ftlg"
@@ -84,7 +93,7 @@ def build_simulation(cfg: ExperimentConfig) -> SimulationState:
         effective_train=effective,
         test=test,
         partitions=parts,
-        model=GlobalModel(np.zeros(train.d), 0),
+        model=GlobalModel(np.zeros(train.d)),
         alpha=np.zeros(len(train)),
         budget=budget,
         chain=ledger_mod.Chain(),
@@ -190,23 +199,11 @@ def _write_summary(out: Path, summary: dict) -> None:
     (out / SUMMARY_FILE).write_text(text + "\n", encoding="utf-8")
 
 
-def _axis_value(axis: str, value) -> int | float:
-    """The value as the axis's config field holds it: an int on delta and budget."""
-    if axis not in ("delta", "budget"):
-        return float(value)
-    if not float(value).is_integer():
+def _axis_value(axis: str, kind: type, value) -> int | float:
+    """The value as the axis's config field holds it."""
+    if kind is int and not float(value).is_integer():
         raise ConfigError(f"sweep axis {axis}: {value!r} is not an integer")
-    return int(value)
-
-
-def _apply_axis(cfg: ExperimentConfig, axis: str, value: int | float) -> ExperimentConfig:
-    if axis == "quota_ratio":
-        return with_overrides(cfg, quota=None, quota_ratio=value)
-    if axis == "delta":
-        return with_overrides(cfg, delta=value)
-    if axis == "budget":
-        return with_overrides(cfg, total_tokens=value, per_round_microtokens=None)
-    raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
+    return kind(value)
 
 
 def sweep(cfg: ExperimentConfig, axis: str, values, out_dir: str | Path | None = None) -> list[dict]:
@@ -214,30 +211,24 @@ def sweep(cfg: ExperimentConfig, axis: str, values, out_dir: str | Path | None =
 
     Values on the integer axes (``delta``, ``budget``) are stored, printed
     and named as ints, so ``2.0`` there is ``2``; a fractional one is a
-    ``ConfigError``.
+    ``ConfigError``.  Each row holds ``axis`` and the ``SWEEP_COLUMNS``.
     """
-    values = [_axis_value(axis, v) for v in values]
+    if axis not in SWEEP_AXES:
+        raise ValueError(f"unknown sweep axis {axis!r}; expected one of {tuple(SWEEP_AXES)}")
+    kind, overrides = SWEEP_AXES[axis]
+    values = [_axis_value(axis, kind, v) for v in values]
     if not values:
         raise ValueError("sweep needs at least one value")
-    configs = [_apply_axis(cfg, axis, v) for v in values]
+    configs = [with_overrides(cfg, **overrides(v)) for v in values]
     out = Path(out_dir) if out_dir is not None else None
     results = [run(c, out / f"{axis}-{v}" if out is not None else None)
                for v, c in zip(values, configs)]
 
     rows = []
     for value, res in zip(values, results):
-        total_queries = sum(m.utility_queries for m in res.metrics)
-        rows.append({
-            "axis": axis,
-            "value": value,
-            "rounds_executed": res.summary["rounds_executed"],
-            "rounds_to_target_accuracy": res.summary["rounds_to_target_accuracy"],
-            "final_test_accuracy": res.summary["final_test_accuracy"],
-            "tokens_issued_microtokens": res.summary["tokens_issued_microtokens"],
-            "uploaded_bytes": res.summary["uploaded_bytes"],
-            "committed_bytes": res.summary["committed_bytes"],
-            "utility_queries": total_queries,
-        })
+        totals = dict(res.summary, value=value,
+                      utility_queries=sum(m.utility_queries for m in res.metrics))
+        rows.append({"axis": axis, **{c: totals[c] for c in SWEEP_COLUMNS}})
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         text = "\n".join(json.dumps(r, sort_keys=True, allow_nan=False) for r in rows) + "\n"

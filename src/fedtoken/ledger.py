@@ -145,12 +145,6 @@ class Chain:
             prev = block.block_hash
         return None
 
-    def balance_of(self, client_id: int) -> int:
-        return sum(tx.amount_microtokens
-                   for block in self.blocks
-                   for tx in block.transactions
-                   if tx.client_id == client_id)
-
     def balances(self) -> dict[int, int]:
         out: dict[int, int] = {}
         for block in self.blocks:

@@ -16,6 +16,7 @@ floating-point sums are bit-reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -105,12 +106,24 @@ class SimulationState:
     committed_bytes: int = 0
 
 
+def ceil_share(fraction: float, n: int) -> int:
+    """``max(1, ceil(fraction * n))``: the cohort size and the quota a ratio gives.
+
+    The ceiling is taken on the decimal that ``fraction`` prints as, the
+    value the config file writes, as ``tokenomics`` takes ``zeta``: the
+    float product can land just above a whole number (``0.55 * 100`` is
+    55.00000000000001).
+    """
+    num, den = Fraction(str(fraction)).as_integer_ratio()
+    return max(1, -(-num * n // den))
+
+
 def sample_cohort(n_clients: int, m_fraction: float, round_index: int,
                   stream: RngStream) -> tuple[int, ...]:
-    """Uniform cohort of ceil(m_fraction * N) distinct ids, keyed by round."""
+    """Uniform cohort of ``ceil_share(m_fraction, n_clients)`` distinct ids, keyed by round."""
     if not 0.0 < m_fraction <= 1.0:
         raise ValueError("m_fraction must be in (0, 1]")
-    size = max(1, int(np.ceil(m_fraction * n_clients)))
+    size = ceil_share(m_fraction, n_clients)
     gen = stream.scoped(round=round_index, client=0, purpose="cohort").generator()
     ids = gen.choice(n_clients, size=size, replace=False)
     return tuple(sorted(int(c) for c in ids))
@@ -242,7 +255,7 @@ def round_step(state: SimulationState, cfg) -> RoundMetrics:
         for c in selection.selected:
             commit(state.alpha, state.partitions[c].sample_indices, updates[c].rho, nu_round)
         state.committed_bytes += len(selection.selected) * upload_size(state.effective_train.d)
-        state.model = GlobalModel(phi_next, t)
+        state.model = GlobalModel(phi_next)
         state.round = t
 
         phase = "settle"

@@ -119,6 +119,15 @@ def test_poison_ids_must_be_valid_clients():
         validate(ExperimentConfig(seed=1, n_clients=5, poison_clients=(7,)))
 
 
+def test_repeated_poison_ids_are_rejected(tmp_path):
+    # a repeated id would flip the same labels twice, back to clean
+    path = tmp_path / "twice.ini"
+    path.write_text("[run]\nseed = 1\n[federation]\nn_clients = 5\n"
+                    "[attack]\npoison_clients = 1,1\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="attack.poison_clients: ids must be distinct"):
+        load_config(path)
+
+
 def test_with_overrides_revalidates():
     cfg = validate(ExperimentConfig(seed=1))
     with pytest.raises(ConfigError):

@@ -125,7 +125,7 @@ def test_logistic_scalar_derivative_matches_finite_difference():
 @pytest.mark.parametrize("loss", losses.LOSS_KINDS)
 def test_local_solve_never_decreases_the_local_objective(gaussian_60x4, loss):
     part = _full_partition(gaussian_60x4)
-    model = GlobalModel(np.linspace(-0.5, 0.5, gaussian_60x4.d), 0)
+    model = GlobalModel(np.linspace(-0.5, 0.5, gaussian_60x4.d))
     hyper = Hyperparams(lam=0.1, local_passes=1)
     for seed in range(5):
         alpha = _random_feasible_state(gaussian_60x4, loss, 40 + seed)
@@ -141,13 +141,13 @@ def test_single_client_squared_reaches_ridge_solution():
     lam = 0.1
     part = _full_partition(ds)
     alpha = np.zeros(len(ds))
-    model = GlobalModel(np.zeros(ds.d), 0)
+    model = GlobalModel(np.zeros(ds.d))
     hyper = Hyperparams(lam=lam, local_passes=1)
     for t in range(200):
         upd = solve_one(part, ds, alpha, model, losses.SQUARED, hyper,
                         RngStream(1, round=t, purpose="local-solve"))
         commit(alpha, part.sample_indices, upd.rho, 1.0)
-        model = GlobalModel(model.phi + upd.delta_phi, t + 1)
+        model = GlobalModel(model.phi + upd.delta_phi)
     w_star = _ridge_solution(ds, lam)
     assert np.max(np.abs(model.phi - w_star)) < 1e-6
     assert duality_gap(alpha, ds, losses.SQUARED, lam) < 1e-6
@@ -158,12 +158,12 @@ def test_local_solve_is_stationary_at_the_optimum():
     lam = 0.2
     part = _full_partition(ds)
     alpha = np.zeros(len(ds))
-    model = GlobalModel(np.zeros(ds.d), 0)
+    model = GlobalModel(np.zeros(ds.d))
     solve_hyper = Hyperparams(lam=lam, local_passes=400)
     upd = solve_one(part, ds, alpha, model, losses.SQUARED, solve_hyper,
                     RngStream(2, purpose="local-solve"))
     commit(alpha, part.sample_indices, upd.rho, 1.0)
-    model = GlobalModel(model.phi + upd.delta_phi, 1)
+    model = GlobalModel(model.phi + upd.delta_phi)
     again = solve_one(part, ds, alpha, model, losses.SQUARED,
                       Hyperparams(lam=lam, local_passes=1),
                       RngStream(3, purpose="local-solve"))
@@ -174,7 +174,7 @@ def test_delta_phi_matches_rho_exactly(gaussian_60x4):
     part = ClientPartition(0, tuple(range(0, 30)))
     hyper = Hyperparams(lam=0.05, local_passes=2)
     upd = solve_one(part, gaussian_60x4, np.zeros(len(gaussian_60x4)),
-                    GlobalModel(np.zeros(gaussian_60x4.d), 0), losses.LOGISTIC,
+                    GlobalModel(np.zeros(gaussian_60x4.d)), losses.LOGISTIC,
                     hyper, RngStream(5, purpose="local-solve"))
     rho_vec = np.zeros(len(gaussian_60x4))
     rho_vec[part.sample_indices] = upd.rho
@@ -186,20 +186,20 @@ def test_delta_phi_matches_rho_exactly(gaussian_60x4):
 def test_logistic_commits_stay_feasible(gaussian_60x4):
     part = _full_partition(gaussian_60x4)
     alpha = np.zeros(len(gaussian_60x4))
-    model = GlobalModel(np.zeros(gaussian_60x4.d), 0)
+    model = GlobalModel(np.zeros(gaussian_60x4.d))
     hyper = Hyperparams(lam=0.05, local_passes=1)
     for t in range(20):
         upd = solve_one(part, gaussian_60x4, alpha, model, losses.LOGISTIC,
                         hyper, RngStream(6, round=t, purpose="local-solve"))
         commit(alpha, part.sample_indices, upd.rho, 0.8)
-        model = GlobalModel(model.phi + 0.8 * upd.delta_phi, t + 1)
+        model = GlobalModel(model.phi + 0.8 * upd.delta_phi)
     assert is_feasible(losses.LOGISTIC, alpha, gaussian_60x4.labels)
 
 
 def test_zero_feature_rows_take_the_separable_optimum():
     ds = Dataset(np.zeros((4, 2)), np.array([1.0, -1.0, 1.0, -1.0]))
     part = _full_partition(ds)
-    model = GlobalModel(np.zeros(2), 0)
+    model = GlobalModel(np.zeros(2))
     hyper = Hyperparams(lam=1.0, local_passes=1)
     upd_sq = solve_one(part, ds, np.zeros(4), model, losses.SQUARED, hyper,
                        RngStream(1, purpose="local-solve"))
@@ -226,7 +226,7 @@ def _ragged_cohort():
 def test_cohort_solve_matches_the_scalar_loop_client_by_client(loss, passes):
     ds, cohort = _ragged_cohort()
     alpha = _random_feasible_state(ds, loss, 17)
-    model = GlobalModel(np.linspace(-0.4, 0.4, ds.d), 0)
+    model = GlobalModel(np.linspace(-0.4, 0.4, ds.d))
     hyper = Hyperparams(lam=0.05, local_passes=passes)
     stream = RngStream(9, round=3, purpose="local-solve")
     solved = local_solve(cohort, ds, alpha, model, loss, hyper, stream)
@@ -262,7 +262,7 @@ def _block_edge_cohort():
 def test_squared_blocks_match_the_scalar_loop_across_block_edges(lam, passes):
     ds, cohort = _block_edge_cohort()
     alpha = _random_feasible_state(ds, losses.SQUARED, 23)
-    model = GlobalModel(np.linspace(-0.4, 0.4, ds.d), 0)
+    model = GlobalModel(np.linspace(-0.4, 0.4, ds.d))
     hyper = Hyperparams(lam=lam, local_passes=passes)
     stream = RngStream(5, round=2, purpose="local-solve")
     solved = local_solve(cohort, ds, alpha, model, losses.SQUARED, hyper, stream)
@@ -287,7 +287,7 @@ def test_a_sub_cohort_solves_each_client_as_the_whole_cohort_does(make_cohort, l
     # the batched matmul's sums, so they agree to rounding
     ds, cohort = make_cohort()
     alpha = _random_feasible_state(ds, loss, 29)
-    model = GlobalModel(np.linspace(-0.4, 0.4, ds.d), 0)
+    model = GlobalModel(np.linspace(-0.4, 0.4, ds.d))
     hyper = Hyperparams(lam=0.05, local_passes=passes)
     stream = RngStream(7, round=4, purpose="local-solve")
     whole = local_solve(cohort, ds, alpha, model, loss, hyper, stream).updates

@@ -400,7 +400,9 @@ def test_cli_ledger_commands(tmp_path, capsys):
     some_client = res.metrics[0].selected[0]
     assert cli.main(["ledger", "balance", ledger_path, str(some_client)]) == 0
     balance = int(capsys.readouterr().out.strip())
-    assert balance == res.state.chain.balance_of(some_client)
+    assert balance == res.state.chain.balances()[some_client] > 0
+    assert cli.main(["ledger", "balance", ledger_path, str(cfg.n_clients)]) == 0
+    assert capsys.readouterr().out == "0\n"  # never paid
 
     assert cli.main(["ledger", "round", ledger_path, "2"]) == 0
     assert "total=" in capsys.readouterr().out

@@ -156,9 +156,7 @@ def test_balances_and_round_queries():
     chain = Chain()
     chain.append_block(1, _allocation(1, {4: 3 * 10**6}))
     chain.append_block(2, _allocation(2, {4: 2 * 10**6}, {9: 7}))
-    assert chain.balance_of(4) == 5 * 10**6
-    assert chain.balance_of(9) == 7
-    assert chain.balance_of(123) == 0
+    assert chain.balances() == {4: 5 * 10**6, 9: 7}
     txs = chain.query_round(2)
     assert {(tx.client_id, tx.kind, tx.amount_microtokens) for tx in txs} == {
         (4, KIND_CONTRIBUTION, 2 * 10**6), (9, KIND_PARTICIPATION, 7)}

@@ -19,7 +19,7 @@ from fedtoken.config import ExperimentConfig, validate
 from fedtoken.dual import phi_of_alpha
 from fedtoken.harness import build_simulation, run
 from fedtoken.rng import RngStream
-from fedtoken.scheduler import AGGREGATION_POLICIES, round_step, sample_cohort
+from fedtoken.scheduler import AGGREGATION_POLICIES, ceil_share, round_step, sample_cohort
 
 ARTIFACTS = ("metrics.jsonl", "ledger.ftlg", "model.bin")
 
@@ -28,7 +28,7 @@ ARTIFACTS = ("metrics.jsonl", "ledger.ftlg", "model.bin")
 def small_configs(draw):
     n_clients = draw(st.integers(1, 6))
     m_fraction = draw(st.sampled_from([0.5, 0.75, 1.0]))
-    cohort = max(1, int(np.ceil(m_fraction * n_clients)))
+    cohort = ceil_share(m_fraction, n_clients)
     poison = draw(st.sets(st.integers(0, n_clients - 1), max_size=2))
     return validate(ExperimentConfig(
         seed=draw(st.integers(0, 2**31)),

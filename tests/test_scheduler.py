@@ -8,8 +8,8 @@ from fedtoken.data import Dataset
 from fedtoken.harness import build_simulation
 from fedtoken.rng import RngStream
 from fedtoken.scheduler import (FEDAVG_ALL, FEDTOKEN, RANDOM_QUOTA, RoundPlan,
-                                SelectionResult, _test_metrics, aggregate, round_step,
-                                sample_cohort, select_top_q)
+                                SelectionResult, _test_metrics, aggregate, ceil_share,
+                                round_step, sample_cohort, select_top_q)
 from fedtoken.valuation import ContributionVector
 
 
@@ -36,6 +36,34 @@ def test_cohort_size_and_determinism():
 
 def test_full_fraction_takes_everyone():
     assert sample_cohort(7, 1.0, 3, RngStream(0)) == tuple(range(7))
+
+
+def test_ceil_share_takes_the_ceiling_on_the_decimal_value():
+    # the float products land just above a whole number: 55.000...01, 7.000...01
+    assert 0.55 * 100 > 55 and 0.28 * 25 > 7
+    assert ceil_share(0.55, 100) == 55
+    assert ceil_share(0.28, 25) == 7
+    for k in range(1, 101):
+        for n in range(1, 201):
+            assert ceil_share(k / 100, n) == max(1, -(-k * n // 100)), (k, n)
+    assert ceil_share(0.001, 5) == 1
+
+
+def test_config_cohort_and_quota_use_the_decimal_ceiling():
+    assert ExperimentConfig(seed=1, n_clients=100, m_fraction=0.55).cohort_size == 55
+    cfg = validate(ExperimentConfig(seed=1, n_clients=25, m_fraction=1.0, quota_ratio=0.28))
+    assert cfg.resolved_quota == 7
+
+
+def test_sample_cohort_draws_the_config_cohort_size():
+    # the grid holds all 27 (k/100, N <= 200) pairs whose float product overshoots
+    for n_clients in (1, 7, 13, 25, 50, 75, 100, 150, 175, 180, 200):
+        for m_fraction in (0.07, 0.1, 0.14, 0.28, 0.34, 0.5, 0.55, 0.56, 0.68, 1.0):
+            cfg = ExperimentConfig(seed=4, n_clients=n_clients, m_fraction=m_fraction)
+            for t in (1, 2):
+                cohort = sample_cohort(n_clients, m_fraction, t, RngStream(cfg.seed))
+                assert len(cohort) == len(set(cohort)) == cfg.cohort_size, (n_clients, m_fraction)
+                assert all(0 <= c < n_clients for c in cohort)
 
 
 def test_select_top_q_orders_and_flags():

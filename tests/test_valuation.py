@@ -74,7 +74,7 @@ def test_converged_local_solve_produces_positive_utility():
     train = synth_gaussian(60, 3, 3.0, RngStream(2, purpose="synth-data"))
     test = synth_gaussian(60, 3, 3.0, RngStream(3, purpose="synth-data"))
     part = ClientPartition(0, tuple(range(60)))
-    upd = local_solve(Cohort((part,)), train, np.zeros(60), GlobalModel(np.zeros(3), 0),
+    upd = local_solve(Cohort((part,)), train, np.zeros(60), GlobalModel(np.zeros(3)),
                       losses.LOGISTIC, Hyperparams(lam=0.05, local_passes=30),
                       RngStream(4, purpose="local-solve")).updates[0]
     ctx = UtilityContext(np.zeros(3), {0: upd.delta_phi, 1: np.zeros(3)},
