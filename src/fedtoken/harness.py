@@ -211,7 +211,9 @@ def sweep(cfg: ExperimentConfig, axis: str, values, out_dir: str | Path | None =
 
     Values on the integer axes (``delta``, ``budget``) are stored, printed
     and named as ints, so ``2.0`` there is ``2``; a fractional one is a
-    ``ConfigError``.  Each row holds ``axis`` and the ``SWEEP_COLUMNS``.
+    ``ConfigError``, and so is a value given twice (``0.5,0.50`` or ``2,2.0``),
+    whose run would overwrite the first one's artifacts.  Each row holds
+    ``axis`` and the ``SWEEP_COLUMNS``.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; expected one of {tuple(SWEEP_AXES)}")
@@ -219,6 +221,9 @@ def sweep(cfg: ExperimentConfig, axis: str, values, out_dir: str | Path | None =
     values = [_axis_value(axis, kind, v) for v in values]
     if not values:
         raise ValueError("sweep needs at least one value")
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ConfigError(f"sweep axis {axis}: value {value!r} is given twice")
     configs = [with_overrides(cfg, **overrides(v)) for v in values]
     out = Path(out_dir) if out_dir is not None else None
     results = [run(c, out / f"{axis}-{v}" if out is not None else None)

@@ -1,3 +1,5 @@
+import gzip
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -264,6 +266,9 @@ CSV_CASES = {
     # np.loadtxt strips the ASCII separators \x1c-\x1f as blank space
     "separator": (b"+1,\x1c0.5\n", False,
                   "{path}:1: could not convert string to float: '\\x1c0.5'", False),
+    # float() strips a lone \r that ends the file, or one ahead of a CRLF
+    "cr-at-end": (b"+1,0.5\n-1,0.25\r", False, [[1, 0.5], [-1, 0.25]], False),
+    "cr-before-crlf": (b"+1,0.5\r\r\n-1,0.25\r\n", False, [[1, 0.5], [-1, 0.25]], False),
 }
 
 
@@ -281,13 +286,50 @@ def test_csv_loads_as_the_line_loop_does(tmp_path, monkeypatch, raw, header, exp
         table = np.array(expected, dtype=np.float64)
         assert got == (table[:, 1:].shape, table[:, 1:].tobytes(), table[:, 0].tobytes())
     if fast is not None:
-        text = raw.decode("utf-8")
-        parsed = data._table_from_loadtxt(text, data._data_lines(text, header))
-        assert (parsed is not None) == fast
+        assert (data._table_from_loadtxt(path, header) is not None) == fast
     if fast:
         # a file np.loadtxt reads never reaches the line loop
         monkeypatch.setattr(data, "_table_from_lines", None)
         assert _csv_outcome(lambda: load_csv(path, header=header)) == got
+
+
+@pytest.mark.parametrize("case", ["crlf", "lone-cr", "cr-at-end", "cr-before-crlf"])
+def test_csv_scan_reads_a_carriage_return_across_its_reads(tmp_path, monkeypatch, case):
+    raw, header, _, fast = CSV_CASES[case]
+    path = tmp_path / "data.csv"
+    path.write_bytes(raw)
+    want = _csv_outcome(lambda: load_csv(path, header=header))
+    # every read size puts each \r at the end of some read
+    for size in range(1, len(raw) + 1):
+        monkeypatch.setattr(data, "CSV_SCAN_BYTES", size)
+        assert (data._table_from_loadtxt(path, header) is not None) == fast
+        assert _csv_outcome(lambda: load_csv(path, header=header)) == want
+
+
+def test_csv_reads_a_compressed_name_as_plain_text(tmp_path):
+    # np.loadtxt given a path would decompress it by its suffix
+    path = tmp_path / "data.csv.gz"
+    path.write_bytes(gzip.compress(b"+1,0.5\n-1,0.25\n"))
+    with pytest.raises(ValueError) as err:
+        load_csv(path)
+    assert str(err.value) == f"{path}:1: not UTF-8 (byte 0x8b)"
+    path.write_bytes(b"+1,0.5\n-1,0.25\n")
+    assert data._table_from_loadtxt(path, False).tolist() == [[1, 0.5], [-1, 0.25]]
+
+
+def test_csv_load_holds_no_copy_of_the_file(tmp_path):
+    path = tmp_path / "big.csv"
+    gen = np.random.Generator(np.random.PCG64(5))
+    save_csv(Dataset(gen.standard_normal((20_000, 19)),
+                     np.where(gen.random(20_000) < 0.5, -1.0, 1.0)), path)
+    tracemalloc.start()
+    try:
+        ds = load_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table_bytes = ds.features.nbytes + ds.labels.nbytes
+    assert peak <= 2 * table_bytes
 
 
 CSV_CELLS = ("+1", "-1", "0.5", "-2.5e-3", "1e999", "4.9406564584124654e-324", "nan",

@@ -308,6 +308,18 @@ def test_cli_sweep_rejects_a_fractional_value_on_an_integer_axis(tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("axis, values, repeat", [("quota_ratio", "0.5,0.50,1.0", "0.5"),
+                                                   ("delta", "2,3,2.0", "2")])
+def test_cli_sweep_rejects_a_repeated_value(tmp_path, capsys, axis, values, repeat):
+    cfg = tmp_path / "cfg.ini"
+    save_config(make_cfg(rounds=1), cfg)
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", str(cfg), "--axis", axis, "--values", values,
+                     "--out", str(out)]) == 1
+    assert f"sweep axis {axis}: value {repeat} is given twice" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_sweep_keeps_integer_axis_values_as_ints(tmp_path, capsys):
     cfg = tmp_path / "cfg.ini"
     save_config(make_cfg(rounds=1), cfg)
