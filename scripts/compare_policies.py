@@ -29,6 +29,8 @@ POLICIES = ("fedtoken", "random-quota", "fedavg-all")
 
 
 def write_task(seed: int, directory: Path) -> Path:
+    """Two-cluster task with a constant feature, so label flips can shift
+    the learned decision boundary instead of merely rescaling it."""
     base = synth_gaussian(2000, 4, 2.0, RngStream(seed, purpose="synth-data"))
     full = Dataset(np.hstack([base.features, np.ones((len(base), 1))]), base.labels)
     path = directory / f"task-{seed}.csv"
@@ -37,6 +39,8 @@ def write_task(seed: int, directory: Path) -> Path:
 
 
 def same_label_poison_pair(seed: int, csv_path: Path) -> tuple[int, ...]:
+    # the two lowest-id clients holding positive-label shards, found through
+    # the same split and partition as the harness's data pipeline
     full = load_csv(csv_path)
     train, _ = train_test_split(full, 0.5, RngStream(seed, purpose="train-test-split"))
     parts = partition(train, 10, PartitionScheme("label-shards", seed=seed, shards_k=1))

@@ -39,7 +39,7 @@ SWEEP_AXES = {
     "budget": (int, lambda v: {"total_tokens": v, "per_round_microtokens": None}),
 }
 # one sweep row's fields after "axis": the value, then per-run totals
-SWEEP_COLUMNS = ("value", "rounds_executed", "rounds_to_target_accuracy",
+SWEEP_COLUMNS = ("value", "rounds_executed", "stop_reason", "rounds_to_target_accuracy",
                  "final_test_accuracy", "tokens_issued_microtokens",
                  "uploaded_bytes", "committed_bytes", "utility_queries")
 

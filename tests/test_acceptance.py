@@ -2,20 +2,23 @@
 
 Run with ``pytest -v -s tests/test_acceptance.py`` to see both the per-test
 verdicts and the printed evidence lines.  The selection-efficacy scenario
-(criteria 6, 7, 11) shares one run matrix via a session fixture.
+(criteria 6, 7, 11) shares one run matrix via a session fixture, built on
+the poisoned task that ``scripts/compare_policies.py`` reports on.
 """
 
 import math
+import runpy
+import sys
 import time
 from itertools import combinations, permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fedtoken import losses
 from fedtoken.config import ExperimentConfig, validate, with_overrides
-from fedtoken.data import (Dataset, PartitionScheme, load_csv, partition,
-                           save_csv, synth_gaussian, train_test_split)
+from fedtoken.data import synth_gaussian
 from fedtoken.dual import phi_of_alpha
 from fedtoken.harness import build_simulation, run, sweep
 from fedtoken.ledger import Chain, verify_file
@@ -27,7 +30,25 @@ from fedtoken.valuation import UtilityContext, efficiency_residual, tmc_shapley
 from oracles import GameUtility, exact_shapley
 
 SELECTION_SEEDS = (100, 101, 102, 103, 104)
-NEVER = 41  # sentinel: one past the 40-round horizon
+
+
+def _load_selection_task():
+    """The poisoned task's builders from ``scripts/compare_policies.py``.
+
+    Loading the script puts ./src on ``sys.path``; the caller's path is put
+    back afterwards.  A run name other than ``__main__`` skips ``main()``.
+    """
+    script = Path(__file__).resolve().parents[1] / "scripts" / "compare_policies.py"
+    saved = sys.path
+    sys.path = list(saved)
+    try:
+        namespace = runpy.run_path(str(script), run_name="acceptance")
+    finally:
+        sys.path = saved
+    return namespace["write_task"], namespace["same_label_poison_pair"], namespace["build_config"]
+
+
+write_task, same_label_poison_pair, build_config = _load_selection_task()
 
 
 def _table_game(m, seed):
@@ -40,38 +61,6 @@ def _table_game(m, seed):
     return players, GameUtility(lambda s: table[s])
 
 
-def _selection_cfg(seed, policy, csv_path, poison):
-    return validate(ExperimentConfig(
-        seed=seed, n_clients=10, m_fraction=1.0, quota=5, rounds=40,
-        data_source="csv", csv_path=str(csv_path), test_fraction=0.5,
-        loss="squared", lam=0.02, nu="auto", aggregation=policy,
-        partition_scheme="label-shards", shards_k=1, local_passes=2,
-        poison_clients=poison, flip_fraction=1.0, delta=4, eps=0.0,
-        total_tokens=100000, target_accuracy=0.7,
-    ))
-
-
-def _write_intercept_task(seed, directory):
-    """Two-cluster task with a constant feature, so label flips can shift
-    the learned decision boundary instead of merely rescaling it."""
-    base = synth_gaussian(2000, 4, 2.0, RngStream(seed, purpose="synth-data"))
-    full = Dataset(np.hstack([base.features, np.ones((len(base), 1))]), base.labels)
-    path = directory / f"task-{seed}.csv"
-    save_csv(full, path)
-    return path
-
-
-def _same_label_poison_pair(seed, csv_path):
-    # pick the two lowest-id clients holding positive-label shards, mirroring
-    # the harness's data pipeline exactly
-    full = load_csv(csv_path)
-    train, _ = train_test_split(full, 0.5, RngStream(seed, purpose="train-test-split"))
-    parts = partition(train, 10, PartitionScheme("label-shards", seed=seed, shards_k=1))
-    pure_positive = [p.client_id for p in parts
-                     if np.all(train.labels[list(p.sample_indices)] > 0)]
-    return tuple(pure_positive[:2])
-
-
 @pytest.fixture(scope="session")
 def selection_matrix(tmp_path_factory):
     """Per-seed results of fedtoken vs both baselines on the poisoned task."""
@@ -79,15 +68,17 @@ def selection_matrix(tmp_path_factory):
     directory = tmp_path_factory.mktemp("selection")
     matrix = {}
     for seed in SELECTION_SEEDS:
-        csv_path = _write_intercept_task(seed, directory)
-        poison = _same_label_poison_pair(seed, csv_path)
+        csv_path = write_task(seed, directory)
+        poison = same_label_poison_pair(seed, csv_path)
         assert len(poison) == 2
         per_policy = {}
         for policy in (FEDTOKEN, RANDOM_QUOTA, FEDAVG_ALL):
-            res = run(_selection_cfg(seed, policy, csv_path, poison))
+            cfg = build_config(seed, policy, csv_path, poison)
+            res = run(cfg)
             rounds_to = res.summary["rounds_to_target_accuracy"]
             per_policy[policy] = {
-                "rounds_to_target": rounds_to if rounds_to is not None else NEVER,
+                # never reaching the target counts as one past the horizon
+                "rounds_to_target": rounds_to if rounds_to is not None else cfg.rounds + 1,
                 "result": res,
                 "poison": poison,
             }

@@ -277,12 +277,16 @@ def test_sweep_quota_ratio_axis_scales_committed_bytes():
     assert rows[0]["committed_bytes"] <= rows[1]["committed_bytes"]
 
 
-def test_sweep_budget_axis_changes_spend_ceiling():
+def test_sweep_budget_axis_changes_spend_ceiling(tmp_path):
     cfg = make_cfg(rounds=4)
-    rows = sweep(cfg, "budget", [1, 500])
+    rows = sweep(cfg, "budget", [1, 500], tmp_path)
     assert rows[0]["tokens_issued_microtokens"] <= 1 * 10**6
     assert rows[1]["tokens_issued_microtokens"] <= 500 * 10**6
     assert rows[0]["tokens_issued_microtokens"] < rows[1]["tokens_issued_microtokens"]
+    # the row says whether its run ran out of tokens, as the run's summary does
+    for row in rows:
+        summary = json.loads((tmp_path / f"budget-{row['value']}" / "summary.json").read_text())
+        assert row["stop_reason"] == summary["stop_reason"]
 
 
 def test_sweep_rejects_unknown_axis():

@@ -1,10 +1,13 @@
-"""Every script under ``scripts/`` still loads against the package.
+"""Every script under ``scripts/`` and every config under ``docs/examples/``
+still loads against the package.
 
 A script imports names from ``fedtoken`` at load time, so dropping or
 renaming one of them fails here instead of in a user's later run.  Loading
 under a run name other than ``__main__`` runs the imports and definitions
 but not ``main()``.  A script that writes scratch files is also run once,
-on a small input, to check that it removes them.
+on a small input, to check that it removes them.  An example config must
+pass ``load_config``, and the README's example sweep must fill every
+sweep column.
 """
 
 import runpy
@@ -14,8 +17,14 @@ from pathlib import Path
 
 import pytest
 
-SCRIPTS_DIR = Path(__file__).resolve().parents[1] / "scripts"
+from fedtoken.config import load_config
+from fedtoken.harness import SWEEP_COLUMNS, sweep
+
+REPO = Path(__file__).resolve().parents[1]
+SCRIPTS_DIR = REPO / "scripts"
 SCRIPTS = sorted(SCRIPTS_DIR.glob("*.py"))
+EXAMPLES_DIR = REPO / "docs" / "examples"
+EXAMPLES = sorted(EXAMPLES_DIR.glob("*.ini"))
 
 
 @pytest.mark.parametrize("path", SCRIPTS, ids=[p.name for p in SCRIPTS])
@@ -36,3 +45,16 @@ def test_compare_policies_removes_its_task_directory(monkeypatch, tmp_path, caps
     assert namespace["main"]() == 0
     assert "rounds to 70% accuracy" in capsys.readouterr().out
     assert list(tmp_path.glob("fedtoken-compare-*")) == []
+
+
+@pytest.mark.parametrize("path", EXAMPLES, ids=[p.name for p in EXAMPLES])
+def test_example_config_loads(path):
+    load_config(path)
+
+
+def test_quota_sweep_example_fills_every_sweep_column():
+    cfg = load_config(EXAMPLES_DIR / "quota-sweep.ini")
+    rows = sweep(cfg, "quota_ratio", [0.2, 1.0])
+    assert [row["value"] for row in rows] == [0.2, 1.0]
+    for row in rows:
+        assert set(row) == {"axis", *SWEEP_COLUMNS}
