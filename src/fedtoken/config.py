@@ -236,7 +236,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        text = _read_utf8(path, universal_newlines=True)
+        text = _read_utf8(path)
     except OSError as err:
         raise ConfigError(f"cannot read {path}: {err.strerror or err}") from err
     except ValueError as err:

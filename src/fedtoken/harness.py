@@ -165,7 +165,8 @@ def run(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> RunResult:
             metrics.append(m)
             if ledger_fh is not None:
                 ledger_mod.append_to_file(ledger_fh, state.chain.blocks[-1])
-            if state.budget.exhausted:
+            # a budget spent by the last round did not stop the run early
+            if state.budget.exhausted and len(metrics) < cfg.rounds:
                 stop_reason = "budget-exhausted"
                 break
         failed_round = None
@@ -247,7 +248,7 @@ class MetricsFormatError(ValueError):
 
 def read_metrics(path: str | Path) -> list[dict]:
     try:
-        text = _read_utf8(path, universal_newlines=True)
+        text = _read_utf8(path)
     except OSError as err:
         raise MetricsFormatError(f"cannot read {path}: {err.strerror or err}") from err
     except ValueError as err:

@@ -5,12 +5,14 @@ dual coordinate per row of the dataset, and a step ``rho`` aligned with a
 partition's rows.  The primal and dual objectives are the two halves that
 ``dual.duality_gap`` inlines.  The Shapley references query games as
 ``tmc_shapley`` does.  The token references compute in ``Fraction``s what
-``tokenomics`` computes on integers.
+``tokenomics`` computes on integers.  The CSV reference reads a file as
+``data.load_csv`` promises to, by a plain loop with no numpy parser.
 """
 
 import math
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -252,3 +254,37 @@ def fraction_discounted(p0: int, zeta: float, t: int) -> int:
     if t <= 1:
         return p0
     return int(p0 * Fraction(str(zeta)) ** t)
+
+
+def csv_table(path, header: bool) -> np.ndarray:
+    """The label-and-features table of a CSV file, or the error naming its first faulty line.
+
+    The file is split at ``\\n`` only and one trailing empty line is dropped;
+    each line, the header too, is decoded on its own, and each cell of a
+    data line goes through ``float()``.
+    """
+    lines = Path(path).read_bytes().split(b"\n")
+    if lines[-1] == b"":
+        lines.pop()
+    rows = []
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise ValueError(f"{path}:{lineno}: not UTF-8 (byte 0x{raw[err.start]:02x})") from None
+        if header and lineno == 1:
+            continue
+        cells = line.split(",")
+        if len(cells) < 2:
+            raise ValueError(f"{path}:{lineno}: expected label plus features")
+        try:
+            row = [float(c) for c in cells]
+        except ValueError as err:
+            raise ValueError(f"{path}:{lineno}: {err}") from None
+        if rows and len(row) != len(rows[0]):
+            raise ValueError(f"{path}:{lineno}: {len(row)} columns, expected "
+                             f"{len(rows[0])} as on the first row")
+        rows.append(row)
+    if not rows:
+        raise ValueError(f"{path}: no rows")
+    return np.array(rows, dtype=np.float64)

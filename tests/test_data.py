@@ -12,6 +12,7 @@ from fedtoken.data import (ClientPartition, Dataset, InfeasiblePartitionError,
                            PartitionScheme, load_csv, partition, poison_labels,
                            save_csv, synth_gaussian, train_test_split)
 from fedtoken.rng import RngStream
+from oracles import csv_table
 
 
 def _make_dataset(n, seed=0):
@@ -223,9 +224,8 @@ def _csv_outcome(load):
 
 
 def _load_by_line_loop(path, header):
-    """``load_csv`` with the ``np.loadtxt`` parse left out."""
-    text = data._read_utf8(path)
-    table = data._table_from_lines(path, data._data_lines(text, header), header)
+    """The dataset of the reference loop's table, as ``load_csv`` should give it."""
+    table = csv_table(path, header)
     return Dataset(table[:, 1:], table[:, 0])
 
 
@@ -259,15 +259,14 @@ CSV_CASES = {
     # the header is line 1, as the data lines are numbered after it
     "non-utf8-header": (b"label,f\xe90\n+1,0.5\n", True, "{path}:1: not UTF-8 (byte 0xe9)",
                         None),
-    # a lone \r ends a line for np.loadtxt's path and universal-newline
-    # readers, but not for the loop
+    # a lone \r inside a line belongs to its cell; np.loadtxt rejects it
     "lone-cr": (b"+1,0.5\r-1,0.25\n\n", False,
                 "{path}:1: could not convert string to float: '0.5\\r-1'", False),
     # np.loadtxt strips the ASCII separators \x1c-\x1f as blank space
     "separator": (b"+1,\x1c0.5\n", False,
                   "{path}:1: could not convert string to float: '\\x1c0.5'", False),
     # float() strips a lone \r that ends the file, or one ahead of a CRLF
-    "cr-at-end": (b"+1,0.5\n-1,0.25\r", False, [[1, 0.5], [-1, 0.25]], False),
+    "cr-at-end": (b"+1,0.5\n-1,0.25\r", False, [[1, 0.5], [-1, 0.25]], True),
     "cr-before-crlf": (b"+1,0.5\r\r\n-1,0.25\r\n", False, [[1, 0.5], [-1, 0.25]], False),
 }
 
@@ -293,17 +292,14 @@ def test_csv_loads_as_the_line_loop_does(tmp_path, monkeypatch, raw, header, exp
         assert _csv_outcome(lambda: load_csv(path, header=header)) == got
 
 
-@pytest.mark.parametrize("case", ["crlf", "lone-cr", "cr-at-end", "cr-before-crlf"])
-def test_csv_scan_reads_a_carriage_return_across_its_reads(tmp_path, monkeypatch, case):
-    raw, header, _, fast = CSV_CASES[case]
+@pytest.mark.parametrize("sep", ["\x1c", "\x1d", "\x1e", "\x1f"])
+def test_csv_sends_each_ascii_separator_to_the_line_loop(tmp_path, sep):
     path = tmp_path / "data.csv"
-    path.write_bytes(raw)
-    want = _csv_outcome(lambda: load_csv(path, header=header))
-    # every read size puts each \r at the end of some read
-    for size in range(1, len(raw) + 1):
-        monkeypatch.setattr(data, "CSV_SCAN_BYTES", size)
-        assert (data._table_from_loadtxt(path, header) is not None) == fast
-        assert _csv_outcome(lambda: load_csv(path, header=header)) == want
+    path.write_bytes(f"+1,0.5\n-1,{sep}0.25\n".encode())
+    assert data._table_from_loadtxt(path, False) is None
+    got = _csv_outcome(lambda: load_csv(path))
+    assert got == _csv_outcome(lambda: _load_by_line_loop(path, False))
+    assert got[1] == f"{path}:2: could not convert string to float: {sep + '0.25'!r}"
 
 
 def test_csv_reads_a_compressed_name_as_plain_text(tmp_path):
@@ -317,11 +313,16 @@ def test_csv_reads_a_compressed_name_as_plain_text(tmp_path):
     assert data._table_from_loadtxt(path, False).tolist() == [[1, 0.5], [-1, 0.25]]
 
 
-def test_csv_load_holds_no_copy_of_the_file(tmp_path):
+@pytest.mark.parametrize("last_row", ["", "+1" + ",1_0" * 19 + "\n"],
+                         ids=["loadtxt", "line-loop"])
+def test_csv_load_holds_no_copy_of_the_file(tmp_path, last_row):
     path = tmp_path / "big.csv"
     gen = np.random.Generator(np.random.PCG64(5))
     save_csv(Dataset(gen.standard_normal((20_000, 19)),
                      np.where(gen.random(20_000) < 0.5, -1.0, 1.0)), path)
+    # np.loadtxt rejects 1_0, so that file is parsed by the line loop
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(last_row)
     tracemalloc.start()
     try:
         ds = load_csv(path)

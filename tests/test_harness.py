@@ -220,6 +220,14 @@ def test_budget_exhaustion_stops_the_run():
     assert res.state.budget.remaining == 0
 
 
+@pytest.mark.parametrize("total_tokens", [1, 500])
+def test_a_budget_the_last_round_spends_ends_at_the_horizon(total_tokens):
+    res = run(make_cfg(rounds=4, total_tokens=total_tokens))
+    assert res.state.budget.remaining == 0
+    assert res.summary["rounds_executed"] == 4
+    assert res.summary["stop_reason"] == "horizon"
+
+
 def test_sweep_single_value_degenerates_to_run(tmp_path):
     from fedtoken.config import with_overrides
     cfg = make_cfg(rounds=2)
