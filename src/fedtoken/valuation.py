@@ -9,10 +9,9 @@ round by ``draw_permutations``.  Exact subset enumeration, the reference the
 estimator is tested against, lives in ``tests/oracles.py``.
 
 Subset values are cached per round so overlapping prefix scans share work;
-``queries`` counts every lookup and ``evaluations`` only cache misses.  The
-cache keys a subset by an int mask with one bit per client, so a step along
-a permutation prefix sets one more bit, and a mask is the same int whatever
-order its members were added in.
+``queries`` counts every accepted lookup and ``evaluations`` only misses.  A
+query names a subset by its int mask, one bit per client: a prefix step sets
+one more bit, and a mask is the same int whatever order its members came in.
 
 A round's context scores a subset by one ``losses.mean_loss`` call, on one
 layout whatever the loss: a base column plus ``scale`` times the sum of the
@@ -67,6 +66,7 @@ candidate model's direct test loss to rounding.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -97,9 +97,9 @@ class UtilityContext:
     exactly zero.
 
     A subset is keyed by an int mask: the i-th client in sorted-id order owns
-    bit ``1 << i``.  ``value`` takes a mask or any iterable of ids, and both
-    reach the same cache entry.  An id or mask bit the context does not know
-    is a ``LookupError``.
+    bit ``1 << i``.  ``value`` takes only a mask, which ``mask`` builds from
+    ids.  An unknown id or mask bit is a ``LookupError`` and ids in place of
+    a mask a ``TypeError``, and neither counts as a query.
 
     A miss makes one ``losses.mean_loss`` call on the n x 3 columns ``[base,
     hi_sum, lo_sum]`` with weights ``(1, scale, scale)`` and no labels: the
@@ -121,19 +121,17 @@ class UtilityContext:
         self._bits: dict[int, int] = {c: 1 << i for i, c in enumerate(ids)}
         if weighting not in WEIGHTINGS:
             raise ValueError(f"unknown weighting {weighting!r}")
-        if len(test_set) == 0:
-            raise ValueError("test set must be non-empty")
         losses.check_kind(loss)
-        self.phi_t = np.asarray(phi_t, dtype=np.float64)
+        phi_t = np.asarray(phi_t, dtype=np.float64)
         stacked = np.array([deltas[c] for c in ids], dtype=np.float64
-                           ).reshape(len(ids), self.phi_t.size)
-        self.test_set, self.loss, self.weighting, self.nu = test_set, loss, weighting, nu
+                           ).reshape(len(ids), phi_t.size)
+        self.loss, self.weighting, self.nu = loss, weighting, nu
         self._last = 0
         if loss == losses.SQUARED:
-            base, scores = _compress(self.phi_t, stacked, test_set)
+            base, scores = _compress(phi_t, stacked, test_set)
         else:
             features, flip = test_set.features, -test_set.labels
-            base, scores = features @ self.phi_t, stacked @ features.T
+            base, scores = features @ phi_t, stacked @ features.T
             # labels are +-1: the sign flip is exact, and a candidate's scores
             # become its margins
             base *= flip
@@ -161,16 +159,16 @@ class UtilityContext:
             key |= self.bit(c)
         return key
 
-    def value(self, subset) -> float:
-        key = subset if isinstance(subset, int) else self.mask(subset)
-        self.queries += 1
+    def value(self, key: int) -> float:
         cached = self._cache.get(key)
         if cached is None:
+            key = operator.index(key)  # the bit loops need an int; ids raise
             # a negative mask has infinitely many bits set
             if key >> len(self._bits):
                 raise LookupError(f"mask {key:#x} names an unknown client")
             cached = self._cache[key] = self.v_ref - self._test_loss(key)
             self.evaluations += 1
+        self.queries += 1
         return cached
 
     def _test_loss(self, key: int) -> float:
@@ -302,4 +300,4 @@ def tmc_shapley(ctx, participants: Sequence[int], permutations: Iterable[Sequenc
 def efficiency_residual(u: ContributionVector, ctx, participants: Sequence[int]) -> float:
     """Sum of attributed values minus the grand-coalition improvement."""
     players = frozenset(int(p) for p in participants)
-    return sum(u.u[p] for p in players) - (ctx.value(players) - ctx.value(frozenset()))
+    return sum(u.u[p] for p in players) - (ctx.value(ctx.mask(players)) - ctx.value(0))

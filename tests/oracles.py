@@ -6,7 +6,8 @@ partition's rows.  The primal and dual objectives are the two halves that
 ``dual.duality_gap`` inlines.  The Shapley references query games as
 ``tmc_shapley`` does.  The token references compute in ``Fraction``s what
 ``tokenomics`` computes on integers.  The CSV reference reads a file as
-``data.load_csv`` promises to, by a plain loop with no numpy parser.
+``data.load_csv`` promises to, by a plain loop with no numpy parser.  The
+run reference recomputes every round of a run from these pieces.
 """
 
 import math
@@ -18,9 +19,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from fedtoken import losses
-from fedtoken.dual import (NEWTON_MAX_ITER, NEWTON_TOL, LocalUpdate, _solve_logistic,
-                           phi_of_alpha)
-from fedtoken.valuation import ContributionVector
+from fedtoken.dual import (NEWTON_MAX_ITER, NEWTON_TOL, GlobalModel, Hyperparams, LocalUpdate,
+                           _solve_logistic, phi_of_alpha)
+from fedtoken.harness import build_simulation
+from fedtoken.ledger import Chain
+from fedtoken.rng import RngStream
+from fedtoken.scheduler import FEDAVG_ALL, FEDTOKEN, sample_cohort, select_top_q
+from fedtoken.tokenomics import PROPORTIONAL_FAIR, RoundAllocation
+from fedtoken.valuation import SUM_WEIGHTING, ContributionVector, draw_permutations
 
 EXACT_SHAPLEY_MAX_PLAYERS = 10
 
@@ -33,7 +39,9 @@ class GameUtility:
     """A game from an arbitrary set function, queried as a ``UtilityContext`` is.
 
     An id gets the next free mask bit the first time it is seen, and a miss
-    decodes its mask back into the frozenset of ids that ``fn`` scores.
+    decodes its mask back into the frozenset of ids that ``fn`` scores.  As
+    in the context, ``value`` takes only a mask, a bit no id owns is a
+    ``LookupError``, and a rejected key counts no query.
     """
 
     def __init__(self, fn: Callable[[frozenset[int]], float]):
@@ -54,14 +62,15 @@ class GameUtility:
             key |= self.bit(c)
         return key
 
-    def value(self, subset) -> float:
-        key = subset if isinstance(subset, int) else self.mask(subset)
-        self.queries += 1
+    def value(self, key: int) -> float:
         cached = self._cache.get(key)
         if cached is None:
+            if key >> len(self._bits):
+                raise LookupError(f"mask {key:#x} names an unknown client")
             members = frozenset(c for i, c in enumerate(self._bits) if key >> i & 1)
             cached = self._cache[key] = float(self._fn(members))
             self.evaluations += 1
+        self.queries += 1
         return cached
 
 
@@ -79,8 +88,8 @@ def exact_shapley(ctx, participants: Sequence[int]) -> ContributionVector:
         others = [p for p in players if p != n]
         for k in range(m):
             for combo in combinations(others, k):
-                s = frozenset(combo)
-                marginal = ctx.value(s | {n}) - ctx.value(s)
+                s = ctx.mask(combo)
+                marginal = ctx.value(s | ctx.bit(n)) - ctx.value(s)
                 u[n] += weights[k] * marginal
     return ContributionVector(u=u, permutations_used=fact(m))
 
@@ -288,3 +297,121 @@ def csv_table(path, header: bool) -> np.ndarray:
     if not rows:
         raise ValueError(f"{path}: no rows")
     return np.array(rows, dtype=np.float64)
+
+
+def oracle_run(cfg, paid: list[dict[int, float] | None]) -> list[dict]:
+    """Every round that ``harness.run(cfg)`` records, recomputed the plain way.
+
+    The cohort, each client's local-solve stream, the random-quota pick and
+    the Shapley permutations come from the program's ``RngStream`` scopes, so
+    both sides draw the same randomness.  The rest shares no fast path:
+    each client solves alone (``scalar_local_solve``); a coalition's value
+    is the round-start model's mean ``loss_values`` on the whole test set
+    minus that of its candidate model ``phi + mean(deltas)`` (or
+    ``nu * sum(deltas)``), with no cache, no snapping and no factor; the
+    TMC scan queries every prefix afresh; and the round settles in
+    ``Fraction``s onto a fresh ``Chain``.  Round t pays ``paid[t - 1]``, the
+    program's own contributions (None for a policy that values nothing): a
+    proportional split follows the last bits of each contribution, which
+    the two sides share only to rounding.
+
+    Each record holds the round, ``selected``, ``rejected``, ``flagged``,
+    ``contributions``, ``utility_queries``, ``test_loss``, ``duality_gap``
+    and ``block_hash``.
+    """
+    state = build_simulation(cfg)
+    train, test = state.effective_train, state.test
+    alpha, phi, remaining = state.alpha.copy(), state.model.phi, state.budget.remaining
+    root, chain = RngStream(cfg.seed), Chain()
+    hyper = Hyperparams(lam=cfg.lam, local_passes=cfg.local_passes)
+    p0, quota = state.budget.participation_base_microtokens, cfg.resolved_quota
+
+    def mean_test_loss(model):
+        return float(loss_values(cfg.loss, test.features @ model, test.labels).mean())
+
+    def step_weight(n):
+        return 1.0 / max(n, 1) if cfg.nu == "auto" else float(cfg.nu)
+
+    records = []
+    for t in range(1, cfg.rounds + 1):
+        cohort = sample_cohort(cfg.n_clients, cfg.m_fraction, t, root)
+        solves = root.scoped(round=t, purpose="local-solve")
+        updates = {c: scalar_local_solve(state.partitions[c], train, alpha, GlobalModel(phi),
+                                         cfg.loss, hyper, solves.scoped(client=c))
+                   for c in cohort}
+        u, queries = {}, 0
+        if cfg.aggregation == FEDTOKEN:
+            nu, v_ref = step_weight(quota), mean_test_loss(phi)
+
+            def value(members):
+                nonlocal queries
+                queries += 1
+                if not members:
+                    return 0.0
+                total = sum(updates[c].delta_phi for c in sorted(members))
+                scale = nu if cfg.weighting == SUM_WEIGHTING else 1.0 / len(members)
+                return v_ref - mean_test_loss(phi + scale * total)
+
+            gen = root.scoped(round=t, client=0, purpose="shapley-perms").generator()
+            perms = draw_permutations(gen, cohort, cfg.delta)
+            v_full = value(cohort)
+            marginals = {c: 0.0 for c in cohort}
+            for perm in perms:
+                v_prev = value(())
+                for k, c in enumerate(perm):
+                    if abs(v_full - v_prev) < cfg.eps:
+                        break  # the rest of the permutation adds nothing
+                    v_m = value(perm[:k + 1])
+                    marginals[c] += v_m - v_prev
+                    v_prev = v_m
+            u = {c: marginals[c] / len(perms) for c in cohort}
+            queries += 2  # the efficiency residual's full and empty coalitions
+            chosen = select_top_q(ContributionVector(u, len(perms)), quota)
+            selected, rejected = chosen.selected, chosen.rejected
+            flagged = chosen.flagged_non_contributing
+        elif cfg.aggregation == FEDAVG_ALL:
+            selected, rejected, flagged = cohort, (), ()
+        else:
+            gen = root.scoped(round=t, client=0, purpose="random-quota").generator()
+            picked = {cohort[int(i)] for i in gen.choice(len(cohort), size=quota, replace=False)}
+            selected = tuple(sorted(picked))
+            rejected, flagged = tuple(c for c in cohort if c not in picked), ()
+
+        nu = step_weight(len(selected))
+        phi = phi + nu * sum((updates[c].delta_phi for c in selected), np.zeros(train.d))
+        for c in selected:
+            alpha[state.partitions[c].sample_indices] += nu * updates[c].rho
+
+        pool = min(state.budget.per_round_microtokens, remaining)
+        participation = {}
+        for c in cohort:
+            if c in flagged:
+                want = 0
+            elif c in selected:
+                want = p0 if cfg.participation_for_selected else 0
+            else:
+                want = fraction_discounted(p0, cfg.zeta, t)
+            participation[c] = min(want, pool)
+            pool -= participation[c]
+        if paid[t - 1] is not None and cfg.allocation == PROPORTIONAL_FAIR:
+            contribution = fraction_allocate_pf({c: paid[t - 1][c] for c in selected}, pool)
+        else:
+            ranked = sorted(selected)
+            contribution = {c: pool // len(ranked) + (rank < pool % len(ranked))
+                            for rank, c in enumerate(ranked)}
+        issued = sum(participation.values()) + sum(contribution.values())
+        remaining -= issued
+        block = chain.append_block(t, RoundAllocation(t, contribution, participation, issued))
+
+        w = phi_of_alpha(alpha, train, cfg.lam)
+        records.append({
+            "round": t, "selected": selected, "rejected": rejected, "flagged": flagged,
+            "contributions": u, "utility_queries": queries,
+            "test_loss": mean_test_loss(phi),
+            "duality_gap": primal_objective(w, train, cfg.loss, cfg.lam)
+            - dual_objective(alpha, train, cfg.loss, cfg.lam),
+            "block_hash": block.block_hash.hex(),
+        })
+        if remaining == 0:
+            break
+    return records

@@ -184,10 +184,10 @@ def test_criterion_05_quota_inflation_undervalues_contributions():
     ctx0 = UtilityContext(np.zeros(3), dict(base), test_set, losses.LOGISTIC,
                           weighting="mean")
     for order in permutations(range(3)):
-        prev, prefix = ctx0.value(frozenset()), set()
+        prev, prefix = ctx0.value(0), 0
         for p in order:
-            prefix.add(p)
-            value = ctx0.value(frozenset(prefix))
+            prefix |= ctx0.bit(p)
+            value = ctx0.value(prefix)
             assert value - prev >= -1e-15
             prev = value
 

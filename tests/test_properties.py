@@ -4,13 +4,15 @@ Each drawn config is stepped round by round, checking the invariants the
 paper's design rests on (among them a verifying hash chain, tokens
 conserved to the microtoken and Shapley efficiency within the truncation
 tolerance), and is then run twice to disk to check that the
-artifacts are byte-identical.
+artifacts are byte-identical.  Another property runs small configs end to
+end and checks every recorded round against ``oracles.oracle_run``.
 """
 
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +22,8 @@ from fedtoken.dual import phi_of_alpha
 from fedtoken.harness import build_simulation, run
 from fedtoken.rng import RngStream
 from fedtoken.scheduler import AGGREGATION_POLICIES, ceil_share, round_step, sample_cohort
+from oracles import oracle_run
+from reference_runs import close
 
 ARTIFACTS = ("metrics.jsonl", "ledger.ftlg", "model.bin")
 
@@ -85,3 +89,50 @@ def test_round_invariants_and_byte_identical_reruns(cfg):
         run(cfg, second)
         for name in ARTIFACTS:
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+@st.composite
+def oracle_configs(draw, aggregation, loss):
+    n_clients = draw(st.integers(2, 5))
+    m_fraction = draw(st.sampled_from([0.6, 1.0]))
+    return validate(ExperimentConfig(
+        seed=draw(st.integers(0, 2**31)),
+        aggregation=aggregation,
+        n_samples=draw(st.integers(8 * n_clients + 8, 80)),
+        dim=draw(st.integers(1, 3)),
+        partition_scheme=draw(st.sampled_from(["iid", "label-shards", "dirichlet"])),
+        loss=loss,
+        lam=draw(st.sampled_from([0.05, 0.5])),
+        nu=draw(st.sampled_from(["auto", 0.5])),
+        local_passes=draw(st.sampled_from([1, 2])),
+        n_clients=n_clients,
+        m_fraction=m_fraction,
+        quota=draw(st.integers(1, ceil_share(m_fraction, n_clients))),
+        rounds=draw(st.integers(1, 3)),
+        delta=draw(st.integers(1, 3)),
+        eps=draw(st.sampled_from([0.0, 0.05])),
+        weighting=draw(st.sampled_from(["mean", "sum"])),
+        allocation=draw(st.sampled_from(["pf", "ep"])),
+        poison_clients=tuple(sorted(draw(st.sets(st.integers(0, n_clients - 1), max_size=1)))),
+        total_tokens=draw(st.integers(1, 20)),
+    ))
+
+
+@pytest.mark.parametrize("loss", losses.LOSS_KINDS)
+@pytest.mark.parametrize("aggregation", AGGREGATION_POLICIES)
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_every_round_matches_the_plain_reference_run(aggregation, loss, data):
+    cfg = data.draw(oracle_configs(aggregation, loss))
+    got = run(cfg).metrics
+    want = oracle_run(cfg, [m.contributions or None for m in got])
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        for field in ("round", "selected", "rejected", "flagged", "block_hash",
+                      "utility_queries"):
+            assert getattr(g, field) == w[field], (g.round, field)
+        for field in ("test_loss", "duality_gap"):
+            assert close(getattr(g, field), w[field]), (g.round, field)
+        assert sorted(g.contributions) == sorted(w["contributions"])
+        for c, v in w["contributions"].items():
+            assert close(g.contributions[c], v), (g.round, c)

@@ -48,7 +48,7 @@ def test_empty_subset_scores_zero_with_default_reference():
     # v_ref is scored the way every subset is, not by a direct test-set pass
     for loss in losses.LOSS_KINDS:
         ctx = UtilityContext(np.zeros(3), {0: np.array([0.5, 0.0, 0.0])}, _test_set(0), loss)
-        assert ctx.value(frozenset()) == 0.0, loss
+        assert ctx.value(0) == 0.0, loss
 
 
 def test_all_zero_deltas_score_zero_everywhere():
@@ -56,7 +56,7 @@ def test_all_zero_deltas_score_zero_everywhere():
     ctx = _model_ctx(zeros)
     for k in range(4):
         for combo in combinations(range(3), k):
-            assert ctx.value(frozenset(combo)) == pytest.approx(0.0, abs=1e-15)
+            assert ctx.value(ctx.mask(combo)) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_helpful_delta_beats_zero_delta():
@@ -65,7 +65,7 @@ def test_helpful_delta_beats_zero_delta():
     helpful = np.array([1.0, 0.0, 0.0])
     ctx = UtilityContext(np.zeros(3), {0: helpful, 1: np.zeros(3)}, test,
                          losses.LOGISTIC)
-    assert ctx.value(frozenset({0})) > ctx.value(frozenset({1}))
+    assert ctx.value(ctx.bit(0)) > ctx.value(ctx.bit(1))
 
 
 def test_converged_local_solve_produces_positive_utility():
@@ -79,13 +79,13 @@ def test_converged_local_solve_produces_positive_utility():
                       RngStream(4, purpose="local-solve")).updates[0]
     ctx = UtilityContext(np.zeros(3), {0: upd.delta_phi, 1: np.zeros(3)},
                          test, losses.LOGISTIC)
-    assert ctx.value(frozenset({0})) > ctx.value(frozenset({1})) == 0.0
+    assert ctx.value(ctx.bit(0)) > ctx.value(ctx.bit(1)) == 0.0
 
 
 def test_unknown_client_is_a_lookup_error():
     ctx = _model_ctx({0: np.zeros(3)})
     with pytest.raises(LookupError):
-        ctx.value(frozenset({7}))
+        ctx.mask({7})
 
 
 def test_unknown_id_in_explicit_permutations_is_a_lookup_error():
@@ -95,14 +95,29 @@ def test_unknown_id_in_explicit_permutations_is_a_lookup_error():
 
 
 def test_mask_beyond_the_known_clients_is_a_lookup_error():
-    # five clients own bits 0 to 4; a failed query leaves the running sums intact
+    # five clients own bits 0 to 4; a failed query leaves the running sums
+    # and both counters intact
     ctx, fresh = (_model_ctx(_five_client_deltas()) for _ in range(2))
     ctx.value(0b11)
     for key in (1 << 5, 0b100011, -1):
         with pytest.raises(LookupError):
             ctx.value(key)
+    assert (ctx.queries, ctx.evaluations) == (1, 1)
     for key in (0b111, 0b1):
         assert ctx.value(key).hex() == fresh.value(key).hex()
+
+
+def test_a_numpy_integer_mask_scores_as_the_int_mask():
+    # from mask 0b11, mask 0b11100 changes more bits than it sets, so the
+    # running sums restart from zero before they add its rows
+    ctx, fresh = (_model_ctx(_five_client_deltas()) for _ in range(2))
+    ctx.value(0b11)
+    assert ctx.value(np.int64(0b11100)).hex() == fresh.value(0b11100).hex()
+    for key in (0b111, 0b1):
+        assert ctx.value(key).hex() == fresh.value(key).hex()
+    with pytest.raises(TypeError):
+        ctx.value(5.0)
+    assert (ctx.queries, ctx.evaluations) == (4, 4)
 
 
 @pytest.mark.parametrize("make", [lambda: _model_ctx(_five_client_deltas()),
@@ -111,16 +126,20 @@ def test_mask_beyond_the_known_clients_is_a_lookup_error():
 def test_mask_and_id_queries_share_one_cache_entry(make):
     ctx = make()
     ids = (9, 25, 33)
-    by_ids = ctx.value(frozenset(ids))
+    key = ctx.bit(9) | ctx.bit(25) | ctx.bit(33)
+    assert key.bit_count() == 3
+    by_bits = ctx.value(key)
     assert (ctx.queries, ctx.evaluations) == (1, 1)
-    key = ctx.mask(ids)
-    assert key == ctx.bit(9) | ctx.bit(25) | ctx.bit(33) and key.bit_count() == 3
-    by_mask = ctx.value(key)
-    assert by_mask.hex() == by_ids.hex()
-    assert (ctx.queries, ctx.evaluations) == (2, 1)
-    # any iterable of ids, in any order and with repeats, is the same key
-    assert ctx.value([33, 9, 25, 9]) == by_ids
-    assert (ctx.queries, ctx.evaluations) == (3, 1)
+    # any iterable of ids, in any order and with repeats, masks to the same key
+    for members in (ids, frozenset(ids), [33, 9, 25, 9]):
+        assert ctx.mask(members) == key
+        assert ctx.value(ctx.mask(members)).hex() == by_bits.hex()
+    assert (ctx.queries, ctx.evaluations) == (4, 1)
+    # a query takes the mask only: ids in its place count nothing
+    for members in (frozenset(ids), [33, 9, 25], ids):
+        with pytest.raises(TypeError):
+            ctx.value(members)
+    assert (ctx.queries, ctx.evaluations) == (4, 1)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 40, 100])
@@ -160,7 +179,7 @@ def test_value_matches_the_explicit_candidate_model(loss, weighting, nu):
                 scale = 1.0 / k if weighting == "mean" else nu
                 model = phi_t + scale * sum(deltas[c] for c in combo)
             expected = v_ref - losses.mean_loss(loss, model, test.features, test.labels)
-            assert abs(ctx.value(frozenset(combo)) - expected) <= 1e-12
+            assert abs(ctx.value(ctx.mask(combo)) - expected) <= 1e-12
 
 
 def test_subset_values_do_not_depend_on_the_permutation_that_reached_them():
@@ -173,8 +192,7 @@ def test_subset_values_do_not_depend_on_the_permutation_that_reached_them():
             tmc_shapley(ctx, players, _sampled(seed, players, 30), 0.0)
         for k in range(len(players) + 1):
             for combo in combinations(players, k):
-                a = ctxs[0].value(frozenset(combo))
-                b = ctxs[1].value(frozenset(combo))
+                a, b = (ctx.value(ctx.mask(combo)) for ctx in ctxs)
                 assert a.hex() == b.hex(), (loss, combo)
 
 
@@ -278,8 +296,7 @@ def test_snapped_scores_give_path_independent_exact_subset_values(loss, case):
     # the suite turns a RuntimeWarning into a failure (pyproject.toml)
     deltas = _scaled_deltas(case)
     players = tuple(sorted(deltas))
-    subsets = [frozenset(s) for k in range(len(players) + 1)
-               for s in combinations(players, k)]
+    subsets = [s for k in range(len(players) + 1) for s in combinations(players, k)]
     test = _test_set(6)
     phi_t = np.array([0.2, -0.1, 0.05])
 
@@ -293,7 +310,7 @@ def test_snapped_scores_give_path_independent_exact_subset_values(loss, case):
         perm = tuple(int(p) for p in gen.permutation(players))
         tmc_shapley(ctx, players, [perm], 0.0)
         for i in gen.permutation(len(subsets)):
-            ctx.value(subsets[i])
+            ctx.value(ctx.mask(subsets[i]))
         filled.append(ctx)
     ctx = context()
     exact_shapley(ctx, players)
@@ -301,12 +318,12 @@ def test_snapped_scores_give_path_independent_exact_subset_values(loss, case):
 
     v_ref = losses.mean_loss(loss, phi_t, test.features, test.labels)
     for s in subsets:
-        values = {ctx.value(s).hex() for ctx in filled}
-        assert len(values) == 1, (sorted(s), values)
-        v = filled[0].value(s)
+        values = {ctx.value(ctx.mask(s)).hex() for ctx in filled}
+        assert len(values) == 1, (s, values)
+        v = float.fromhex(values.pop())
         model = phi_t + (1.0 / len(s)) * sum(deltas[c] for c in s) if s else phi_t
         expected = v_ref - losses.mean_loss(loss, model, test.features, test.labels)
-        assert abs(v - expected) <= 1e-12 * max(1.0, abs(expected)), sorted(s)
+        assert abs(v - expected) <= 1e-12 * max(1.0, abs(expected)), s
         if case == "zero":
             assert v == 0.0
 
@@ -314,7 +331,7 @@ def test_snapped_scores_give_path_independent_exact_subset_values(loss, case):
 def test_exact_shapley_singleton():
     players, game = _table_game(1, seed=5)
     result = exact_shapley(game, players)
-    expected = game.value({0}) - game.value(frozenset())
+    expected = game.value(game.bit(0)) - game.value(0)
     assert result.u[0] == pytest.approx(expected, abs=1e-12)
 
 
@@ -322,7 +339,8 @@ def test_exact_shapley_two_player_formula():
     players, game = _table_game(2, seed=6)
     result = exact_shapley(game, players)
     v = game.value
-    expected0 = 0.5 * (v({0}) - v(frozenset())) + 0.5 * (v({0, 1}) - v({1}))
+    b0, b1 = game.bit(0), game.bit(1)
+    expected0 = 0.5 * (v(b0) - v(0)) + 0.5 * (v(b0 | b1) - v(b1))
     assert result.u[0] == pytest.approx(expected0, abs=1e-12)
 
 
@@ -386,8 +404,7 @@ def test_tmc_sampled_is_close_to_exact():
     ctx = _model_ctx(deltas)
     exact = exact_shapley(ctx, tuple(range(4)))
     approx = tmc_shapley(ctx, tuple(range(4)), _sampled(9, range(4), 5000), 0.0)
-    values = [ctx.value(frozenset(s)) for k in range(5)
-              for s in combinations(range(4), k)]
+    values = [ctx.value(ctx.mask(s)) for k in range(5) for s in combinations(range(4), k)]
     spread = max(values) - min(values)
     for c in range(4):
         assert abs(approx.u[c] - exact.u[c]) <= 0.05 * spread
