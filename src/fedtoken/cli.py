@@ -81,8 +81,6 @@ def _cmd_sweep(args) -> int:
         values = [float(tok) for tok in args.values.split(",") if tok.strip()]
     except ValueError as err:
         raise ConfigError(f"bad --values list: {err}") from err
-    if not values:
-        raise ConfigError("--values must contain at least one number")
     rows = harness.sweep(cfg, args.axis, values, args.out)
     print("  ".join(harness.SWEEP_COLUMNS))
     for row in rows:

@@ -211,34 +211,36 @@ def sweep(cfg: ExperimentConfig, axis: str, values, out_dir: str | Path | None =
     """One run per axis value under a shared seed schedule; returns table rows.
 
     Values on the integer axes (``delta``, ``budget``) are stored, printed
-    and named as ints, so ``2.0`` there is ``2``; a fractional one is a
-    ``ConfigError``, and so is a value given twice (``0.5,0.50`` or ``2,2.0``),
-    whose run would overwrite the first one's artifacts.  Each row holds
-    ``axis`` and the ``SWEEP_COLUMNS``.
+    and named as ints, so ``2.0`` there is ``2``.  An empty list, a
+    fractional value there or a repeat (``0.5,0.50``; ``2,2.0``), whose run
+    would overwrite the first's artifacts, is a ``ConfigError`` before any
+    run.  A row holds ``axis`` and the ``SWEEP_COLUMNS``, written as its run ends.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; expected one of {tuple(SWEEP_AXES)}")
     kind, overrides = SWEEP_AXES[axis]
     values = [_axis_value(axis, kind, v) for v in values]
     if not values:
-        raise ValueError("sweep needs at least one value")
+        raise ConfigError(f"sweep axis {axis}: no value given")
     for i, value in enumerate(values):
         if value in values[:i]:
             raise ConfigError(f"sweep axis {axis}: value {value!r} is given twice")
     configs = [with_overrides(cfg, **overrides(v)) for v in values]
     out = Path(out_dir) if out_dir is not None else None
-    results = [run(c, out / f"{axis}-{v}" if out is not None else None)
-               for v, c in zip(values, configs)]
-
-    rows = []
-    for value, res in zip(values, results):
-        totals = dict(res.summary, value=value,
-                      utility_queries=sum(m.utility_queries for m in res.metrics))
-        rows.append({"axis": axis, **{c: totals[c] for c in SWEEP_COLUMNS}})
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-        text = "\n".join(json.dumps(r, sort_keys=True, allow_nan=False) for r in rows) + "\n"
-        (out / "sweep.jsonl").write_text(text, encoding="utf-8")
+    rows = []
+    # with no output directory the rows are written to a buffer no one reads
+    with (open(out / "sweep.jsonl", "w", encoding="utf-8", newline="\n") if out is not None
+          else io.StringIO()) as rows_fh:
+        for value, c in zip(values, configs):
+            res = run(c, out / f"{axis}-{value}" if out is not None else None)
+            totals = dict(res.summary, value=value,
+                          utility_queries=sum(m.utility_queries for m in res.metrics))
+            del res  # the next run starts with this one's state released
+            rows.append({"axis": axis, **{k: totals[k] for k in SWEEP_COLUMNS}})
+            rows_fh.write(_json_line(rows[-1]))
+            rows_fh.flush()
     return rows
 
 

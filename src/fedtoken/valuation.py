@@ -160,9 +160,9 @@ class UtilityContext:
         return key
 
     def value(self, key: int) -> float:
+        key = operator.index(key)  # before the lookup, where 3.0 would find mask 3
         cached = self._cache.get(key)
         if cached is None:
-            key = operator.index(key)  # the bit loops need an int; ids raise
             # a negative mask has infinitely many bits set
             if key >> len(self._bits):
                 raise LookupError(f"mask {key:#x} names an unknown client")

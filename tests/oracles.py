@@ -11,6 +11,7 @@ run reference recomputes every round of a run from these pieces.
 """
 
 import math
+import operator
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -63,6 +64,7 @@ class GameUtility:
         return key
 
     def value(self, key: int) -> float:
+        key = operator.index(key)
         cached = self._cache.get(key)
         if cached is None:
             if key >> len(self._bits):

@@ -347,6 +347,57 @@ def test_cli_sweep_keeps_integer_axis_values_as_ints(tmp_path, capsys):
     assert all(type(row["value"]) is int for row in rows)
 
 
+def test_sweep_rejects_an_empty_value_list(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="delta"):
+        sweep(make_cfg(rounds=1), "delta", [], tmp_path / "lib")
+    cfg = tmp_path / "cfg.ini"
+    save_config(make_cfg(rounds=1), cfg)
+    assert cli.main(["sweep", "--config", str(cfg), "--axis", "delta", "--values", " , ",
+                     "--out", str(tmp_path / "cli")]) == 1
+    assert "sweep axis delta" in capsys.readouterr().err
+    assert not (tmp_path / "lib").exists() and not (tmp_path / "cli").exists()
+
+
+def test_sweep_holds_one_run_at_a_time(monkeypatch):
+    import gc
+    import weakref
+    from fedtoken import harness
+    real_run = harness.run
+    states = []
+
+    def tracked(cfg, out_dir=None):
+        gc.collect()
+        # every run before this one has been released
+        assert [ref() for ref in states] == [None] * len(states)
+        res = real_run(cfg, out_dir)
+        states.append(weakref.ref(res.state))
+        return res
+
+    monkeypatch.setattr(harness, "run", tracked)
+    rows = sweep(make_cfg(rounds=1), "delta", [1, 2, 3])
+    assert [row["value"] for row in rows] == [1, 2, 3]
+    assert len(states) == 3
+
+
+def test_a_failed_sweep_run_keeps_the_rows_before_it(tmp_path, monkeypatch):
+    from fedtoken import harness
+    real_round_step = harness.scheduler.round_step
+
+    def fail_at_delta_2(state, cfg):
+        if cfg.delta == 2:
+            raise RuntimeError("injected failure")
+        return real_round_step(state, cfg)
+
+    monkeypatch.setattr(harness.scheduler, "round_step", fail_at_delta_2)
+    with pytest.raises(RuntimeError, match="injected"):
+        sweep(make_cfg(rounds=1), "delta", [1, 2, 3], tmp_path)
+    rows = [json.loads(line) for line in (tmp_path / "sweep.jsonl").read_text().splitlines()]
+    assert [row["value"] for row in rows] == [1]
+    assert (tmp_path / "delta-1" / "model.bin").exists()
+    assert json.loads((tmp_path / "delta-2" / "summary.json").read_text())["stop_reason"] == "error"
+    assert not (tmp_path / "delta-3").exists()
+
+
 def test_round_step_preconditions():
     from fedtoken.harness import build_simulation
     from fedtoken.scheduler import BudgetExhausted, round_step

@@ -29,19 +29,19 @@ ARTIFACTS = ("metrics.jsonl", "ledger.ftlg", "model.bin")
 
 
 @st.composite
-def small_configs(draw):
+def small_configs(draw, aggregation, loss):
     n_clients = draw(st.integers(1, 6))
     m_fraction = draw(st.sampled_from([0.5, 0.75, 1.0]))
     cohort = ceil_share(m_fraction, n_clients)
     poison = draw(st.sets(st.integers(0, n_clients - 1), max_size=2))
     return validate(ExperimentConfig(
         seed=draw(st.integers(0, 2**31)),
-        aggregation=draw(st.sampled_from(AGGREGATION_POLICIES)),
+        aggregation=aggregation,
         n_samples=draw(st.integers(8 * n_clients + 8, 120)),
         dim=draw(st.integers(1, 4)),
         separation=draw(st.sampled_from([0.5, 3.0])),
         partition_scheme=draw(st.sampled_from(["iid", "label-shards", "dirichlet"])),
-        loss=draw(st.sampled_from(losses.LOSS_KINDS)),
+        loss=loss,
         lam=draw(st.sampled_from([0.005, 0.05, 0.5])),
         nu=draw(st.sampled_from(["auto", 0.5, 1.0])),
         local_passes=draw(st.integers(1, 3)),
@@ -56,9 +56,12 @@ def small_configs(draw):
     ))
 
 
+@pytest.mark.parametrize("loss", losses.LOSS_KINDS)
+@pytest.mark.parametrize("aggregation", AGGREGATION_POLICIES)
 @settings(max_examples=25, deadline=None, derandomize=True)
-@given(cfg=small_configs())
-def test_round_invariants_and_byte_identical_reruns(cfg):
+@given(data=st.data())
+def test_round_invariants_and_byte_identical_reruns(aggregation, loss, data):
+    cfg = data.draw(small_configs(aggregation, loss))
     state = build_simulation(cfg)
     labels = state.effective_train.labels
     for _ in range(cfg.rounds):

@@ -121,6 +121,24 @@ def test_a_numpy_integer_mask_scores_as_the_int_mask():
 
 
 @pytest.mark.parametrize("make", [lambda: _model_ctx(_five_client_deltas()),
+                                  lambda: GameUtility(lambda s: float(sum(s)))],
+                         ids=["context", "game"])
+def test_a_float_key_raises_before_and_after_its_mask_is_cached(make):
+    # 3.0 hashes and compares equal to 3, so a lookup before the type
+    # check would find mask 3's entry once it is cached
+    ctx = make()
+    ctx.mask(_five_client_deltas())  # the game numbers its ids on first sight
+    with pytest.raises(TypeError):
+        ctx.value(3.0)
+    assert (ctx.queries, ctx.evaluations) == (0, 0)
+    ctx.value(3)
+    for key in (3.0, np.float64(3.0)):
+        with pytest.raises(TypeError):
+            ctx.value(key)
+    assert (ctx.queries, ctx.evaluations) == (1, 1)
+
+
+@pytest.mark.parametrize("make", [lambda: _model_ctx(_five_client_deltas()),
                                   lambda: GameUtility(lambda s: float(sum(s)) ** 0.5)],
                          ids=["context", "game"])
 def test_mask_and_id_queries_share_one_cache_entry(make):
