@@ -94,22 +94,21 @@ def _cmd_ledger(args) -> int:
         print(f"ledger file not found: {path}", file=sys.stderr)
         return EXIT_VALIDATION
     # every subcommand reads only a ledger that verifies, so any damage exits 3
-    bad, n_blocks = ledger.verify_file(path)
+    blocks, bad = ledger.read_blocks(path)
     if bad is not None:
         print(f"tamper detected at block {bad}")
         return EXIT_TAMPER
     if args.ledger_command == "verify":
-        print(f"ok: {n_blocks} blocks verified")
+        print(f"ok: {len(blocks)} blocks verified")
         return EXIT_OK
-    chain = ledger.Chain.load(path)
     if args.ledger_command == "balance":
-        print(chain.balances().get(args.client_id, 0))
+        print(sum(tx.amount_microtokens for block in blocks for tx in block.transactions
+                  if tx.client_id == args.client_id))
         return EXIT_OK
-    try:
-        txs = chain.query_round(args.round)
-    except LookupError as err:
-        print(str(err), file=sys.stderr)
+    if not 1 <= args.round <= len(blocks):
+        print(f"round {args.round} is not on the chain", file=sys.stderr)
         return EXIT_VALIDATION
+    txs = blocks[args.round - 1].transactions
     kinds = {ledger.KIND_CONTRIBUTION: "contribution",
              ledger.KIND_PARTICIPATION: "participation"}
     for tx in txs:

@@ -51,8 +51,8 @@ SUMMARY_FILE = "summary.json"
 
 @dataclass
 class RunResult:
+    """A finished run; its rounds are in its artifacts, not here."""
     config: ExperimentConfig
-    metrics: list[RoundMetrics]
     summary: dict
     state: SimulationState
 
@@ -100,29 +100,25 @@ def build_simulation(cfg: ExperimentConfig) -> SimulationState:
     )
 
 
-def _summary(cfg: ExperimentConfig, metrics: list[RoundMetrics],
-             state: SimulationState, stop_reason: str) -> dict:
-    rounds_to_target = None
-    for m in metrics:
-        if m.test_accuracy >= cfg.target_accuracy:
-            rounds_to_target = m.round
-            break
-    last = metrics[-1] if metrics else None
+def _summary(cfg: ExperimentConfig, last: RoundMetrics | None,
+             rounds_to_target: int | None, stop_reason: str) -> dict:
+    """The summary of a run whose last written round record is ``last``."""
+    remaining = last.budget_remaining if last else cfg.total_microtokens
     return {
         "record": "summary",
         "policy": cfg.aggregation,
         "seed": cfg.seed,
-        "rounds_executed": len(metrics),
+        "rounds_executed": last.round if last else 0,
         "stop_reason": stop_reason,
         "target_accuracy": cfg.target_accuracy,
         "rounds_to_target_accuracy": rounds_to_target,
         "final_test_accuracy": last.test_accuracy if last else None,
         "final_test_loss": last.test_loss if last else None,
         "final_duality_gap": last.duality_gap if last else None,
-        "uploaded_bytes": state.uploaded_bytes,
-        "committed_bytes": state.committed_bytes,
-        "tokens_issued_microtokens": state.chain.total_issued(),
-        "budget_remaining_microtokens": state.budget.remaining,
+        "uploaded_bytes": last.uploaded_bytes if last else 0,
+        "committed_bytes": last.committed_bytes if last else 0,
+        "tokens_issued_microtokens": cfg.total_microtokens - remaining,
+        "budget_remaining_microtokens": remaining,
     }
 
 
@@ -132,6 +128,9 @@ def _json_line(record: dict) -> str:
 
 def run(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> RunResult:
     """Execute rounds until the horizon or the budget-exhausted signal.
+
+    Each round's record and block are written as the round ends; the run
+    keeps only the last record, which the summary is built from.
 
     If a run with an output directory raises after opening its outputs, it
     ends ``metrics.jsonl`` and ``summary.json`` with a summary whose
@@ -145,7 +144,8 @@ def run(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> RunResult:
         out.mkdir(parents=True, exist_ok=True)
         metrics_fh = open(out / METRICS_FILE, "w", encoding="utf-8", newline="\n")
 
-    metrics: list[RoundMetrics] = []
+    # the last round record written and the first round at the target accuracy
+    last, rounds_to_target = None, None
     stop_reason = "horizon"
     failed_round = None
     # the phase in progress; None while round_step runs, as it names its own
@@ -153,7 +153,7 @@ def run(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> RunResult:
     try:
         if out is not None:
             ledger_fh = open(out / LEDGER_FILE, "wb", buffering=0)
-            ledger_fh.write(ledger_mod.Chain().to_bytes())
+            ledger_fh.write(ledger_mod.LEDGER_HEADER)
         for _ in range(cfg.rounds):
             failed_round = state.round + 1
             phase = None
@@ -162,22 +162,24 @@ def run(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> RunResult:
             if metrics_fh is not None:
                 metrics_fh.write(_json_line(m.to_record()))
                 metrics_fh.flush()
-            metrics.append(m)
+            last = m
+            if rounds_to_target is None and m.test_accuracy >= cfg.target_accuracy:
+                rounds_to_target = m.round
             if ledger_fh is not None:
-                ledger_mod.append_to_file(ledger_fh, state.chain.blocks[-1])
+                ledger_mod.append_to_file(ledger_fh, state.chain.head)
             # a budget spent by the last round did not stop the run early
-            if state.budget.exhausted and len(metrics) < cfg.rounds:
+            if state.budget.exhausted and m.round < cfg.rounds:
                 stop_reason = "budget-exhausted"
                 break
         failed_round = None
         phase = "write"
-        summary = _summary(cfg, metrics, state, stop_reason)
+        summary = _summary(cfg, last, rounds_to_target, stop_reason)
         if metrics_fh is not None:
             metrics_fh.write(_json_line(summary))
     except Exception as err:
         if metrics_fh is not None:
-            # every round in `metrics` was written as strict JSON, so this is too
-            failed = _summary(cfg, metrics, state, "error")
+            # `last` was written as strict JSON, so this is too
+            failed = _summary(cfg, last, rounds_to_target, "error")
             failed.update(failed_round=failed_round,
                           failed_phase=getattr(err, "failed_phase", phase),
                           error=f"{type(err).__name__}: {err}")
@@ -192,7 +194,7 @@ def run(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> RunResult:
     if out is not None:
         save_model(out / MODEL_FILE, state.model.phi)
         _write_summary(out, summary)
-    return RunResult(config=cfg, metrics=metrics, summary=summary, state=state)
+    return RunResult(config=cfg, summary=summary, state=state)
 
 
 def _write_summary(out: Path, summary: dict) -> None:
@@ -236,7 +238,7 @@ def sweep(cfg: ExperimentConfig, axis: str, values, out_dir: str | Path | None =
         for value, c in zip(values, configs):
             res = run(c, out / f"{axis}-{value}" if out is not None else None)
             totals = dict(res.summary, value=value,
-                          utility_queries=sum(m.utility_queries for m in res.metrics))
+                          utility_queries=res.state.utility_queries)
             del res  # the next run starts with this one's state released
             rows.append({"axis": axis, **{k: totals[k] for k in SWEEP_COLUMNS}})
             rows_fh.write(_json_line(rows[-1]))
@@ -271,12 +273,14 @@ def read_metrics(path: str | Path) -> list[dict]:
     return records
 
 
-def missing_contributions(records: list[dict], chain, client_id: int) -> list[int]:
+def missing_contributions(records: list[dict], blocks: list[ledger_mod.Block],
+                          client_id: int) -> list[int]:
     """Rounds where the client sat in the cohort but earned zero tokens.
 
-    Joins the metrics stream (cohort membership) with the ledger (who was
-    actually paid); the chain alone cannot answer this, since unpaid
-    clients leave no transactions.
+    Joins the metrics stream (cohort membership) with the ledger's blocks,
+    in round order as ``ledger.read_blocks`` returns them (who was actually
+    paid); the ledger alone cannot answer this, since unpaid clients leave
+    no transactions.
     """
     rounds = []
     for rec in records:
@@ -285,8 +289,10 @@ def missing_contributions(records: list[dict], chain, client_id: int) -> list[in
         cohort = set(rec["selected"]) | set(rec["rejected"]) | set(rec["flagged"])
         if client_id not in cohort:
             continue
+        if not 1 <= rec["round"] <= len(blocks):
+            raise LookupError(f"round {rec['round']} is not on the chain")
         paid = any(tx.client_id == client_id and tx.amount_microtokens > 0
-                   for tx in chain.query_round(rec["round"]))
+                   for tx in blocks[rec["round"] - 1].transactions)
         if not paid:
             rounds.append(rec["round"])
     return rounds

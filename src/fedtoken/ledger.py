@@ -6,11 +6,15 @@ One block per round.  Canonical block bytes are big-endian:
     || per-tx [ round (4B) || client_id (4B) || kind (1B) || amount (8B) ]
 
 ``block_hash`` is the SHA-256 of that region and is stored right after it.
-A ledger file is the magic ``FTLG``, a 2-byte version (= 1), then the
-concatenated blocks.  The genesis block's prev_hash is 32 zero bytes.
-Blocks carry only non-zero transactions, ordered by (client_id, kind);
-absence means a zero award.  There are no timestamps, so identical runs
-write byte-identical files.
+A ledger file is ``LEDGER_HEADER`` (the magic ``FTLG``, then a 2-byte
+version = 1), then the concatenated blocks.  The genesis block's prev_hash
+is 32 zero bytes.  Blocks carry only non-zero transactions, ordered by
+(client_id, kind); absence means a zero award.  There are no timestamps, so
+identical runs write byte-identical files.
+
+The blocks live only in the file.  A ``Chain`` is the ledger's head, all
+that making the next block needs; ``read_blocks`` parses and verifies a
+file for the readers of every block.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from .tokenomics import RoundAllocation
 
 LEDGER_MAGIC = b"FTLG"
 LEDGER_VERSION = 1
+LEDGER_HEADER = LEDGER_MAGIC + struct.pack(">H", LEDGER_VERSION)
 GENESIS_PREV_HASH = bytes(32)
 
 KIND_CONTRIBUTION = 0
@@ -98,91 +103,59 @@ def _allocation_transactions(t: int, allocation: RoundAllocation) -> tuple[Token
 
 
 class Chain:
-    """In-memory chain; single writer, verified append-only growth."""
+    """The ledger's head: single writer, verified append-only growth.
 
-    def __init__(self, blocks: list[Block] | None = None):
-        self.blocks: list[Block] = list(blocks or [])
+    It holds the last block, whose index gives the block count, and each
+    client's running balance; the writer persists each block it appends.
+    """
+
+    def __init__(self):
+        self.head: Block | None = None
+        self._balances: dict[int, int] = {}
 
     def __len__(self) -> int:
-        return len(self.blocks)
+        return self.head.index + 1 if self.head is not None else 0
 
-    @property
-    def head_hash(self) -> bytes:
-        return self.blocks[-1].block_hash if self.blocks else GENESIS_PREV_HASH
+    def _fold(self, block: Block) -> None:
+        for tx in block.transactions:
+            self._balances[tx.client_id] = \
+                self._balances.get(tx.client_id, 0) + tx.amount_microtokens
+        self.head = block
 
     def append_block(self, t: int, allocation: RoundAllocation) -> Block:
-        expected = len(self.blocks) + 1
-        if t != expected:
-            raise SequencingError(f"expected round {expected}, got {t}")
+        if t != len(self) + 1:
+            raise SequencingError(f"expected round {len(self) + 1}, got {t}")
         if allocation.round != t:
             raise SequencingError(f"allocation is for round {allocation.round}, not {t}")
         txs = _allocation_transactions(t, allocation)
-        draft = Block(len(self.blocks), self.head_hash, txs, b"")
-        block = Block(draft.index, draft.prev_hash, txs, _hash_body(draft.body_bytes()))
-        self.blocks.append(block)
+        prev = self.head.block_hash if self.head is not None else GENESIS_PREV_HASH
+        draft = Block(t - 1, prev, txs, b"")
+        block = Block(t - 1, prev, txs, _hash_body(draft.body_bytes()))
+        self._fold(block)
         return block
 
-    def verify(self) -> int | None:
-        """Recompute every hash and link; None if clean, else first bad index.
-
-        Also checks the writer's invariants, which a re-hashed forgery could
-        break: block k carries only round k + 1 transactions, in strictly
-        increasing (client_id, kind) order.
-        """
-        prev = GENESIS_PREV_HASH
-        for k, block in enumerate(self.blocks):
-            if block.index != k:
-                return k
-            if block.prev_hash != prev:
-                return k
-            if _hash_body(block.body_bytes()) != block.block_hash:
-                return k
-            if any(tx.round != k + 1 for tx in block.transactions):
-                return k
-            keys = [(tx.client_id, tx.kind) for tx in block.transactions]
-            if any(a >= b for a, b in zip(keys, keys[1:])):
-                return k
-            prev = block.block_hash
-        return None
-
     def balances(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for block in self.blocks:
-            for tx in block.transactions:
-                out[tx.client_id] = out.get(tx.client_id, 0) + tx.amount_microtokens
-        return out
-
-    def total_issued(self) -> int:
-        return sum(tx.amount_microtokens
-                   for block in self.blocks for tx in block.transactions)
-
-    def query_round(self, t: int) -> tuple[TokenTransaction, ...]:
-        if not 1 <= t <= len(self.blocks):
-            raise LookupError(f"round {t} is not on the chain")
-        return self.blocks[t - 1].transactions
-
-    def to_bytes(self) -> bytes:
-        header = LEDGER_MAGIC + struct.pack(">H", LEDGER_VERSION)
-        return header + b"".join(block.to_bytes() for block in self.blocks)
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "Chain":
-        blocks, error = _parse_blocks(blob)
-        if error is not None:
-            raise error
-        return cls(blocks)
+        return dict(self._balances)
 
     @classmethod
     def load(cls, path: str | Path) -> "Chain":
-        return cls.from_bytes(Path(path).read_bytes())
+        """Fold a ledger file's blocks into a head; a file that does not verify raises."""
+        blocks, bad = read_blocks(path)
+        if bad is not None:
+            raise LedgerFormatError(f"{path}: tamper detected at block {bad}",
+                                    block_index=bad)
+        chain = cls()
+        for block in blocks:
+            chain._fold(block)
+        return chain
 
 
 def append_to_file(fh, block: Block) -> None:
     """Persist a freshly appended block through an open binary ledger file.
 
-    The file already holds the header (``Chain().to_bytes()``) and every
-    earlier block.  On an unbuffered handle this is one ``write`` call, so
-    the block is in the file when the call returns.
+    The file already holds ``LEDGER_HEADER`` and every earlier block.  On an
+    unbuffered handle this is one ``write`` call, so the block is in the file
+    when the call returns.
     """
     view = memoryview(block.to_bytes())
     while view:  # a raw handle may write short
@@ -222,17 +195,31 @@ def _parse_blocks(blob: bytes) -> tuple[list[Block], LedgerFormatError | None]:
     return blocks, None
 
 
-def verify_file(path: str | Path) -> tuple[int | None, int]:
-    """Verify persisted bytes; (first bad block index or None, blocks seen).
+def read_blocks(path: str | Path) -> tuple[list[Block], int | None]:
+    """A ledger file's blocks, as far as its bytes parse, and the first bad index.
 
-    Hash and link failures on the parseable prefix take precedence over
-    structural damage further along; a clean prefix followed by broken
-    framing reports the block whose byte region broke.  Header damage is
-    attributed to index 0.
+    The index is None when the whole file verifies.  Every hash and link is
+    recomputed, and so are the writer's invariants, which a re-hashed
+    forgery could break: block k carries only round k + 1 transactions, in
+    strictly increasing (client_id, kind) order.  Failures on the parseable
+    prefix take precedence over structural damage further along; a clean
+    prefix followed by broken framing reports the block whose byte region
+    broke.  Header damage is attributed to index 0.
     """
     blocks, error = _parse_blocks(Path(path).read_bytes())
-    chain = Chain(blocks)
-    bad = chain.verify()
-    if bad is None and error is not None:
-        bad = error.block_index if error.block_index is not None else 0
+    prev = GENESIS_PREV_HASH
+    for k, block in enumerate(blocks):
+        keys = [(tx.client_id, tx.kind) for tx in block.transactions]
+        if (block.index != k or block.prev_hash != prev
+                or _hash_body(block.body_bytes()) != block.block_hash
+                or any(tx.round != k + 1 for tx in block.transactions)
+                or any(a >= b for a, b in zip(keys, keys[1:]))):
+            return blocks, k
+        prev = block.block_hash
+    return blocks, error.block_index if error is not None else None
+
+
+def verify_file(path: str | Path) -> tuple[int | None, int]:
+    """Verify persisted bytes; (first bad block index or None, blocks seen)."""
+    blocks, bad = read_blocks(path)
     return bad, len(blocks)

@@ -104,6 +104,7 @@ class SimulationState:
     round: int = 0
     uploaded_bytes: int = 0
     committed_bytes: int = 0
+    utility_queries: int = 0  # summed over the finished rounds
 
 
 def ceil_share(fraction: float, n: int) -> int:
@@ -269,6 +270,8 @@ def round_step(state: SimulationState, cfg) -> RoundMetrics:
     except Exception as err:
         err.failed_phase = phase
         raise
+    queries = ctx.queries if ctx is not None else 0
+    state.utility_queries += queries
     return RoundMetrics(
         round=t,
         policy=cfg.aggregation,
@@ -285,7 +288,7 @@ def round_step(state: SimulationState, cfg) -> RoundMetrics:
         budget_remaining=state.budget.remaining,
         uploaded_bytes=state.uploaded_bytes,
         committed_bytes=state.committed_bytes,
-        utility_queries=ctx.queries if ctx is not None else 0,
+        utility_queries=queries,
         utility_evaluations=ctx.evaluations if ctx is not None else 0,
         block_hash=block.block_hash.hex(),
     )

@@ -28,10 +28,12 @@ import argparse
 import json
 import math
 import sys
+import tempfile
 from pathlib import Path
 
 from fedtoken.config import ExperimentConfig, validate
-from fedtoken.harness import run
+from fedtoken.harness import read_metrics, run
+from fedtoken.ledger import read_blocks
 
 PATH = Path(__file__).resolve().parent / "data" / "reference_runs.json"
 
@@ -87,21 +89,26 @@ def make_config(overrides: dict) -> ExperimentConfig:
 
 
 def record(overrides: dict) -> list[dict]:
-    """One entry per round of the config's run."""
-    result = run(make_config(overrides))
+    """One entry per round of the config's run, read from its artifacts."""
+    with tempfile.TemporaryDirectory() as tmp:
+        run(make_config(overrides), tmp)
+        records = read_metrics(Path(tmp) / "metrics.jsonl")[:-1]
+        blocks, _ = read_blocks(Path(tmp) / "ledger.ftlg")
     rounds = []
-    for m, block in zip(result.metrics, result.state.chain.blocks):
+    for m, block in zip(records, blocks):
         rounds.append({
-            "round": m.round,
-            "selected": list(m.selected),
-            "rejected": list(m.rejected),
-            "flagged": list(m.flagged),
+            "round": m["round"],
+            "selected": m["selected"],
+            "rejected": m["rejected"],
+            "flagged": m["flagged"],
             "awards": [[tx.client_id, tx.kind, tx.amount_microtokens]
                        for tx in block.transactions],
-            "block_hash": m.block_hash,
-            "test_loss": m.test_loss,
-            "duality_gap": m.duality_gap,
-            "contributions": {str(c): v for c, v in sorted(m.contributions.items())},
+            "block_hash": m["block_hash"],
+            "test_loss": m["test_loss"],
+            "duality_gap": m["duality_gap"],
+            # by client id, not by the record's string order ("10" before "2")
+            "contributions": dict(sorted(m["contributions"].items(),
+                                         key=lambda item: int(item[0]))),
         })
     return rounds
 

@@ -20,8 +20,8 @@ from fedtoken import losses
 from fedtoken.config import ExperimentConfig, validate, with_overrides
 from fedtoken.data import synth_gaussian
 from fedtoken.dual import phi_of_alpha
-from fedtoken.harness import build_simulation, run, sweep
-from fedtoken.ledger import Chain, verify_file
+from fedtoken.harness import build_simulation, read_metrics, run, sweep
+from fedtoken.ledger import Chain, read_blocks, verify_file
 from fedtoken.rng import RngStream
 from fedtoken.scheduler import FEDAVG_ALL, FEDTOKEN, RANDOM_QUOTA, round_step
 from fedtoken.tokenomics import (AllocationPolicy, allocate_ep, allocate_pf,
@@ -51,6 +51,11 @@ def _load_selection_task():
 write_task, same_label_poison_pair, build_config = _load_selection_task()
 
 
+def _rounds(out):
+    """The round records a run wrote to ``out``."""
+    return [r for r in read_metrics(out / "metrics.jsonl") if r["record"] == "round"]
+
+
 def _table_game(m, seed):
     gen = np.random.Generator(np.random.PCG64(seed))
     players = tuple(range(m))
@@ -74,12 +79,14 @@ def selection_matrix(tmp_path_factory):
         per_policy = {}
         for policy in (FEDTOKEN, RANDOM_QUOTA, FEDAVG_ALL):
             cfg = build_config(seed, policy, csv_path, poison)
-            res = run(cfg)
+            out = directory / f"{seed}-{policy}"
+            res = run(cfg, out)
             rounds_to = res.summary["rounds_to_target_accuracy"]
             per_policy[policy] = {
                 # never reaching the target counts as one past the horizon
                 "rounds_to_target": rounds_to if rounds_to is not None else cfg.rounds + 1,
                 "result": res,
+                "out": out,
                 "poison": poison,
             }
         matrix[seed] = per_policy
@@ -132,24 +139,24 @@ def test_criterion_02_shapley_axioms():
           f"{additive_err:.2e}, symmetry {sym_err:.2e}")
 
 
-def test_criterion_03_convex_convergence():
+def test_criterion_03_convex_convergence(tmp_path):
     start = time.time()
     single = validate(ExperimentConfig(
         seed=1, n_clients=1, m_fraction=1.0, quota=1, rounds=200,
         n_samples=67, dim=5, separation=3.0, test_fraction=0.25,
         loss="squared", lam=0.1, nu=1.0, aggregation=FEDAVG_ALL,
         partition_scheme="iid", total_tokens=1000))
-    res_single = run(single)
+    res_single = run(single, tmp_path / "single")
     assert len(res_single.state.effective_train) == 50
-    single_round = next((m.round for m in res_single.metrics
-                         if m.duality_gap < 1e-6), None)
+    single_round = next((m["round"] for m in _rounds(tmp_path / "single")
+                         if m["duality_gap"] < 1e-6), None)
     assert single_round is not None and single_round <= 200
 
     federated = with_overrides(single, n_clients=10, quota=5, nu="auto",
                                rounds=500, total_tokens=10000)
-    res_fed = run(federated)
-    fed_round = next((m.round for m in res_fed.metrics
-                      if m.duality_gap < 1e-3), None)
+    run(federated, tmp_path / "federated")
+    fed_round = next((m["round"] for m in _rounds(tmp_path / "federated")
+                      if m["duality_gap"] < 1e-3), None)
     assert fed_round is not None and fed_round <= 500
     elapsed = time.time() - start
     assert elapsed < 30.0
@@ -255,15 +262,16 @@ def test_criterion_07_poisoner_starvation(selection_matrix):
     worst_flagged = 1.0
     for seed in SELECTION_SEEDS:
         entry = selection_matrix[seed][FEDTOKEN]
-        res = entry["result"]
+        blocks, bad = read_blocks(entry["out"] / "ledger.ftlg")
+        assert bad is None
         poisoned = set(entry["poison"])
         starved = flagged = total = 0
-        for m in res.metrics:
+        for m in _rounds(entry["out"]):
             total += 1  # m_fraction = 1.0: every client is in every cohort
-            paid = {tx.client_id for tx in res.state.chain.query_round(m.round)}
+            paid = {tx.client_id for tx in blocks[m["round"] - 1].transactions}
             if not (poisoned & paid):
                 starved += 1
-            if poisoned <= set(m.flagged):
+            if poisoned <= set(m["flagged"]):
                 flagged += 1
         worst_rate = min(worst_rate, starved / total)
         worst_flagged = min(worst_flagged, flagged / total)
@@ -337,7 +345,9 @@ def test_criterion_10_ledger_integrity(exhaustion_run, tmp_path):
     run(res.config, rerun_dir)
     assert (rerun_dir / "ledger.ftlg").read_bytes() == source
 
-    sizes = [len(b.to_bytes()) for b in res.state.chain.blocks]
+    blocks, _ = read_blocks(out / "ledger.ftlg")
+    assert len(blocks) == 20
+    sizes = [len(b.to_bytes()) for b in blocks]
     starts = np.cumsum([6] + sizes).tolist()
     target = tmp_path / "mutated.ftlg"
     gen = np.random.Generator(np.random.PCG64(31))
@@ -363,17 +373,16 @@ def test_criterion_11_overhead_direction(selection_matrix):
     details = []
     for seed in SELECTION_SEEDS:
         per = selection_matrix[seed]
-        ft = per[FEDTOKEN]["result"]
         fa = per[FEDAVG_ALL]["result"]
 
-        def bytes_to_target(res):
-            for m in res.metrics:
-                if m.test_accuracy >= res.config.target_accuracy:
-                    return m.committed_bytes
+        def bytes_to_target(entry):
+            for m in _rounds(entry["out"]):
+                if m["test_accuracy"] >= entry["result"].config.target_accuracy:
+                    return m["committed_bytes"]
             return None  # never reached: costs at least the whole run
 
-        ft_bytes = bytes_to_target(ft)
-        fa_bytes = bytes_to_target(fa)
+        ft_bytes = bytes_to_target(per[FEDTOKEN])
+        fa_bytes = bytes_to_target(per[FEDAVG_ALL])
         assert ft_bytes is not None
         fa_cost = fa_bytes if fa_bytes is not None else fa.state.committed_bytes
         wins += ft_bytes < fa_cost

@@ -1,3 +1,4 @@
+import gc
 import importlib
 import json
 
@@ -12,7 +13,8 @@ import pytest
 
 from fedtoken.harness import (missing_contributions, read_metrics, render_table,
                               run, sweep)
-from fedtoken.ledger import Chain, verify_file
+from fedtoken.ledger import Block, Chain, read_blocks, verify_file
+from fedtoken.scheduler import RoundMetrics
 
 
 def make_cfg(**overrides):
@@ -27,7 +29,7 @@ def make_cfg(**overrides):
 def test_smoke_run_emits_one_record_and_block(tmp_path):
     cfg = make_cfg(n_clients=2, quota=1, rounds=1, n_samples=20)
     res = run(cfg, tmp_path)
-    assert len(res.metrics) == 1
+    assert res.summary["rounds_executed"] == 1
     assert len(res.state.chain) == 1
     records = read_metrics(tmp_path / "metrics.jsonl")
     assert [r["record"] for r in records] == ["round", "summary"]
@@ -131,21 +133,46 @@ def test_error_summary_names_the_failed_phase(tmp_path, monkeypatch, phase, aggr
         return real(*args, **kwargs)
 
     monkeypatch.setattr(module, name, fail_on_second_call)
+    cfg = make_cfg(rounds=3, aggregation=aggregation)
     with pytest.raises(RuntimeError, match="broke"):
-        run(make_cfg(rounds=3, aggregation=aggregation), tmp_path)
-    summary = read_metrics(tmp_path / "metrics.jsonl")[-1]
+        run(cfg, tmp_path)
+    records = read_metrics(tmp_path / "metrics.jsonl")
+    summary = records[-1]
     assert summary["stop_reason"] == "error" and summary["failed_round"] == 2
     assert summary["failed_phase"] == phase
     assert summary["error"] == f"RuntimeError: {name} broke"
     assert json.loads((tmp_path / "summary.json").read_text(encoding="utf-8")) == summary
+    # the totals count the written rounds, not the part of round 2 that ran
+    written = records[:-1]
+    issued = sum(r["tokens_contribution"] + r["tokens_participation"] for r in written)
+    assert summary["tokens_issued_microtokens"] == issued
+    assert summary["budget_remaining_microtokens"] == cfg.total_microtokens - issued
+    for key in ("uploaded_bytes", "committed_bytes"):
+        assert summary[key] == (written[-1][key] if written else 0), key
 
 
 def test_zero_rounds_returns_the_initial_model(tmp_path):
     cfg = make_cfg(rounds=0)
     res = run(cfg, tmp_path)
-    assert res.metrics == []
+    assert [r["record"] for r in read_metrics(tmp_path / "metrics.jsonl")] == ["summary"]
     assert res.summary["rounds_executed"] == 0
     assert np.array_equal(res.state.model.phi, np.zeros(cfg.dim))
+
+
+def test_a_run_holds_one_round_record_and_one_block(tmp_path):
+    # every round is in the artifacts; the run keeps only its last record
+    # while it runs, and the ledger's head block afterwards
+    def held():
+        gc.collect()
+        live = gc.get_objects()
+        return (sum(isinstance(o, RoundMetrics) for o in live),
+                sum(isinstance(o, Block) for o in live))
+
+    before = held()
+    res = run(make_cfg(n_clients=3, quota=1, rounds=50, n_samples=60), tmp_path)
+    after = held()
+    assert res.summary["rounds_executed"] == 50
+    assert after[0] - before[0] <= 1 and after[1] - before[1] <= 1, (before, after)
 
 
 def test_ledger_holds_each_block_when_its_round_ends(tmp_path, monkeypatch):
@@ -176,7 +203,7 @@ def test_a_ledger_that_cannot_be_opened_ends_the_run_with_an_error_summary(tmp_p
 def test_zero_round_run_leaves_a_header_only_ledger(tmp_path, capsys):
     run(make_cfg(rounds=0), tmp_path)
     path = tmp_path / "ledger.ftlg"
-    assert path.read_bytes() == Chain().to_bytes()
+    assert path.read_bytes() == b"FTLG\x00\x01"
     assert verify_file(path) == (None, 0)
     assert cli.main(["ledger", "verify", str(path)]) == 0
     assert capsys.readouterr().out == "ok: 0 blocks verified\n"
@@ -194,21 +221,25 @@ def test_a_run_factors_its_test_set_at_most_once(tmp_path, monkeypatch, loss, bu
         return real(*args)
 
     monkeypatch.setattr(data, "streamed_r_factor", counted)
-    res = run(make_cfg(loss=loss, rounds=3), tmp_path)
-    assert len(res.metrics) == 3
-    assert all(r.utility_evaluations > 0 for r in res.metrics)
+    run(make_cfg(loss=loss, rounds=3), tmp_path)
+    rounds = read_metrics(tmp_path / "metrics.jsonl")[:-1]
+    assert len(rounds) == 3
+    assert all(r["utility_evaluations"] > 0 for r in rounds)
     assert len(calls) == builds
 
 
 def test_metrics_and_ledger_agree_on_totals(tmp_path):
     cfg = make_cfg(rounds=6)
     res = run(cfg, tmp_path)
-    from_metrics = sum(m.tokens_contribution + m.tokens_participation
-                       for m in res.metrics)
-    chain = Chain.load(tmp_path / "ledger.ftlg")
-    assert chain.total_issued() == from_metrics
-    assert sum(chain.balances().values()) == from_metrics
+    from_metrics = sum(m["tokens_contribution"] + m["tokens_participation"]
+                       for m in read_metrics(tmp_path / "metrics.jsonl")[:-1])
+    blocks, bad = read_blocks(tmp_path / "ledger.ftlg")
+    assert bad is None
+    assert sum(tx.amount_microtokens for b in blocks for tx in b.transactions) == from_metrics
+    assert sum(Chain.load(tmp_path / "ledger.ftlg").balances().values()) == from_metrics
+    assert sum(res.state.chain.balances().values()) == from_metrics
     assert from_metrics == cfg.total_microtokens - res.state.budget.remaining
+    assert from_metrics == res.summary["tokens_issued_microtokens"]
 
 
 def test_budget_exhaustion_stops_the_run():
@@ -243,13 +274,13 @@ def test_equal_pay_and_sum_weighting_full_run(tmp_path):
     cfg = make_cfg(rounds=4, allocation="ep", weighting="sum", nu=0.2)
     res = run(cfg, tmp_path)
     assert res.summary["rounds_executed"] == 4
-    chain = Chain.load(tmp_path / "ledger.ftlg")
-    assert chain.verify() is None
-    for m in res.metrics:
-        if len(m.selected) >= 2:
+    blocks, bad = read_blocks(tmp_path / "ledger.ftlg")
+    assert bad is None
+    for m in read_metrics(tmp_path / "metrics.jsonl")[:-1]:
+        if len(m["selected"]) >= 2:
             paid = {tx.client_id: tx.amount_microtokens
-                    for tx in chain.query_round(m.round)
-                    if tx.kind == 0 and tx.client_id in m.selected}
+                    for tx in blocks[m["round"] - 1].transactions
+                    if tx.kind == 0 and tx.client_id in m["selected"]}
             if len(paid) >= 2:
                 assert max(paid.values()) - min(paid.values()) <= 1
 
@@ -414,26 +445,31 @@ def test_round_step_preconditions():
 
 def test_missing_contributions_join(tmp_path):
     cfg = make_cfg(rounds=5, eps=float("inf"))  # everyone flagged, nobody paid
-    res = run(cfg, tmp_path)
+    run(cfg, tmp_path)
     records = read_metrics(tmp_path / "metrics.jsonl")
-    chain = Chain.load(tmp_path / "ledger.ftlg")
-    assert missing_contributions(records, chain, 0) == [1, 2, 3, 4, 5]
+    blocks, _ = read_blocks(tmp_path / "ledger.ftlg")
+    assert missing_contributions(records, blocks, 0) == [1, 2, 3, 4, 5]
     paid_cfg = make_cfg(rounds=5)
-    res = run(paid_cfg, tmp_path / "paid")
+    run(paid_cfg, tmp_path / "paid")
     records = read_metrics(tmp_path / "paid" / "metrics.jsonl")
-    chain = Chain.load(tmp_path / "paid" / "ledger.ftlg")
-    some_paid_round = res.metrics[0].round
-    winner = res.metrics[0].selected[0]
-    assert some_paid_round not in missing_contributions(records, chain, winner)
+    blocks, _ = read_blocks(tmp_path / "paid" / "ledger.ftlg")
+    some_paid_round = records[0]["round"]
+    winner = records[0]["selected"][0]
+    assert some_paid_round not in missing_contributions(records, blocks, winner)
+    # a round the blocks do not reach is an error, not an unpaid round
+    with pytest.raises(LookupError, match="round 5"):
+        missing_contributions(records, blocks[:4], winner)
 
 
 def test_fedtoken_rounds_record_the_efficiency_residual(tmp_path):
-    res = run(make_cfg(rounds=2), tmp_path)
-    for m in res.metrics:
-        assert m.efficiency_residual is not None
-        assert np.isfinite(m.efficiency_residual)
-    baseline = run(make_cfg(rounds=2, aggregation="fedavg-all"))
-    assert all(m.efficiency_residual is None for m in baseline.metrics)
+    run(make_cfg(rounds=2), tmp_path / "fedtoken")
+    for m in read_metrics(tmp_path / "fedtoken" / "metrics.jsonl")[:-1]:
+        assert m["efficiency_residual"] is not None
+        assert np.isfinite(m["efficiency_residual"])
+    run(make_cfg(rounds=2, aggregation="fedavg-all"), tmp_path / "baseline")
+    baseline = read_metrics(tmp_path / "baseline" / "metrics.jsonl")[:-1]
+    assert len(baseline) == 2
+    assert all(m["efficiency_residual"] is None for m in baseline)
 
 
 def test_cli_run_and_report(tmp_path, capsys):
@@ -472,7 +508,7 @@ def test_cli_ledger_commands(tmp_path, capsys):
     assert cli.main(["ledger", "verify", ledger_path]) == 0
     assert "ok: 3 blocks" in capsys.readouterr().out
 
-    some_client = res.metrics[0].selected[0]
+    some_client = read_metrics(out_dir / "metrics.jsonl")[0]["selected"][0]
     assert cli.main(["ledger", "balance", ledger_path, str(some_client)]) == 0
     balance = int(capsys.readouterr().out.strip())
     assert balance == res.state.chain.balances()[some_client] > 0

@@ -1,6 +1,8 @@
 import hashlib
 import struct
 import subprocess
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
@@ -8,8 +10,9 @@ from hypothesis import strategies as st
 import pytest
 
 from fedtoken.ledger import (Block, Chain, GENESIS_PREV_HASH, KIND_CONTRIBUTION,
-                             KIND_PARTICIPATION, LedgerFormatError, SequencingError,
-                             TokenTransaction, append_to_file, verify_file)
+                             KIND_PARTICIPATION, LEDGER_HEADER, LedgerFormatError,
+                             SequencingError, TokenTransaction, append_to_file, read_blocks,
+                             verify_file)
 from fedtoken.tokenomics import RoundAllocation
 
 
@@ -21,12 +24,16 @@ def _allocation(t, contribution=None, participation=None):
                            participation_awards=participation, total_issued=total)
 
 
-def _sample_chain(rounds=3):
+def _sample_blocks(rounds=3):
     chain = Chain()
-    for t in range(1, rounds + 1):
-        chain.append_block(t, _allocation(t, {1: 500 + t, 3: 250},
-                                          {2: 100 * t}))
-    return chain
+    return [chain.append_block(t, _allocation(t, {1: 500 + t, 3: 250}, {2: 100 * t}))
+            for t in range(1, rounds + 1)]
+
+
+def _write(path, blocks):
+    """Write a ledger file of these blocks, as a run writes its own."""
+    path.write_bytes(LEDGER_HEADER + b"".join(block.to_bytes() for block in blocks))
+    return path
 
 
 def test_genesis_links_to_zero_hash():
@@ -66,26 +73,29 @@ def test_block_hash_matches_external_hash_tool(tmp_path):
     assert out.stdout.split()[0] == block.block_hash.hex()
 
 
-def test_verify_clean_chain():
-    assert _sample_chain().verify() is None
+def test_verify_clean_chain(tmp_path):
+    blocks = _sample_blocks()
+    path = _write(tmp_path / "ledger.ftlg", blocks)
+    assert verify_file(path) == (None, 3)
+    assert read_blocks(path) == (blocks, None)
 
 
-def _rehashed(chain, k, transactions):
+def _rehashed(blocks, k, transactions):
     """Swap block k's transactions, then re-hash and re-link every block from k."""
-    blocks = chain.blocks[:k]
-    prev = blocks[-1].block_hash if blocks else GENESIS_PREV_HASH
-    for j, block in enumerate(chain.blocks[k:], start=k):
+    out = blocks[:k]
+    prev = out[-1].block_hash if out else GENESIS_PREV_HASH
+    for j, block in enumerate(blocks[k:], start=k):
         txs = transactions if j == k else block.transactions
         draft = Block(j, prev, txs, b"")
-        blocks.append(Block(j, prev, txs, hashlib.sha256(draft.body_bytes()).digest()))
-        prev = blocks[-1].block_hash
-    return Chain(blocks)
+        out.append(Block(j, prev, txs, hashlib.sha256(draft.body_bytes()).digest()))
+        prev = out[-1].block_hash
+    return out
 
 
 @pytest.mark.parametrize("forge", ["wrong-round", "unsorted", "duplicate"])
 def test_rehashed_chain_that_breaks_a_writer_invariant_is_detected(tmp_path, forge):
-    chain = _sample_chain(4)
-    txs = list(chain.blocks[2].transactions)  # round 3: clients 1, 2, 3
+    blocks = _sample_blocks(4)
+    txs = list(blocks[2].transactions)  # round 3: clients 1, 2, 3
     if forge == "wrong-round":
         txs[1] = TokenTransaction(2, txs[1].client_id, txs[1].kind,
                                   txs[1].amount_microtokens)
@@ -93,15 +103,16 @@ def test_rehashed_chain_that_breaks_a_writer_invariant_is_detected(tmp_path, for
         txs[0], txs[1] = txs[1], txs[0]
     else:
         txs[1] = TokenTransaction(3, txs[0].client_id, txs[0].kind, 7)
-    forged = _rehashed(chain, 2, tuple(txs))
+    forged = _rehashed(blocks, 2, tuple(txs))
     # hashes and links are consistent, so only the invariants catch it
-    assert all(b.prev_hash == a.block_hash
-               for a, b in zip(forged.blocks, forged.blocks[1:]))
-    assert forged.verify() == 2
-    path = tmp_path / "ledger.ftlg"
-    path.write_bytes(forged.to_bytes())
+    assert all(b.prev_hash == a.block_hash for a, b in zip(forged, forged[1:]))
+    path = _write(tmp_path / "ledger.ftlg", forged)
     assert verify_file(path) == (2, 4)
-    assert _rehashed(chain, 2, chain.blocks[2].transactions).verify() is None
+    assert read_blocks(path) == (forged, 2)
+    with pytest.raises(LedgerFormatError, match="block 2"):
+        Chain.load(path)  # a head is folded only from a file that verifies
+    _write(path, _rehashed(blocks, 2, blocks[2].transactions))
+    assert verify_file(path) == (None, 4)
 
 
 def test_sequencing_errors():
@@ -116,12 +127,11 @@ def test_sequencing_errors():
 
 
 def test_amount_bit_flip_is_detected_at_its_block(tmp_path):
-    chain = _sample_chain(4)
-    path = tmp_path / "ledger.ftlg"
-    path.write_bytes(chain.to_bytes())
+    blocks = _sample_blocks(4)
+    path = _write(tmp_path / "ledger.ftlg", blocks)
     blob = bytearray(path.read_bytes())
     # locate block 2's first tx amount: header 6 + two blocks before it
-    block_sizes = [len(b.to_bytes()) for b in chain.blocks]
+    block_sizes = [len(b.to_bytes()) for b in blocks]
     offset = 6 + sum(block_sizes[:2]) + 8 + 32 + 4 + 9  # into the amount field
     blob[offset] ^= 0x01
     path.write_bytes(bytes(blob))
@@ -130,43 +140,46 @@ def test_amount_bit_flip_is_detected_at_its_block(tmp_path):
 
 
 def test_truncating_the_last_block_leaves_a_valid_prefix(tmp_path):
-    chain = _sample_chain(3)
-    path = tmp_path / "ledger.ftlg"
-    path.write_bytes(chain.to_bytes())
+    blocks = _sample_blocks(3)
+    path = _write(tmp_path / "ledger.ftlg", blocks)
     blob = path.read_bytes()
-    last_size = len(chain.blocks[-1].to_bytes())
+    last_size = len(blocks[-1].to_bytes())
     path.write_bytes(blob[:-last_size])
     bad, n_blocks = verify_file(path)
     assert bad is None and n_blocks == 2
 
 
 def test_removing_an_interior_block_is_detected_at_the_splice(tmp_path):
-    chain = _sample_chain(3)
-    path = tmp_path / "ledger.ftlg"
-    sizes = [len(b.to_bytes()) for b in chain.blocks]
-    blob = chain.to_bytes()
-    start = 6 + sizes[0]
-    spliced = blob[:start] + blob[start + sizes[1]:]
-    path.write_bytes(spliced)
+    blocks = _sample_blocks(3)
+    path = _write(tmp_path / "ledger.ftlg", [blocks[0], blocks[2]])
     bad, _ = verify_file(path)
     assert bad == 1
 
 
-def test_balances_and_round_queries():
+def test_balances_and_round_queries(tmp_path):
     chain = Chain()
-    chain.append_block(1, _allocation(1, {4: 3 * 10**6}))
-    chain.append_block(2, _allocation(2, {4: 2 * 10**6}, {9: 7}))
+    blocks = [chain.append_block(1, _allocation(1, {4: 3 * 10**6})),
+              chain.append_block(2, _allocation(2, {4: 2 * 10**6}, {9: 7}))]
     assert chain.balances() == {4: 5 * 10**6, 9: 7}
-    txs = chain.query_round(2)
-    assert {(tx.client_id, tx.kind, tx.amount_microtokens) for tx in txs} == {
+    assert len(chain) == 2 and chain.head == blocks[-1]
+    # a round's transactions are listed from the file, where the blocks are
+    read, bad = read_blocks(_write(tmp_path / "ledger.ftlg", blocks))
+    assert bad is None
+    assert {(tx.client_id, tx.kind, tx.amount_microtokens)
+            for tx in read[1].transactions} == {
         (4, KIND_CONTRIBUTION, 2 * 10**6), (9, KIND_PARTICIPATION, 7)}
-    with pytest.raises(LookupError):
-        chain.query_round(3)
 
 
 def test_sum_of_balances_equals_total_issued():
-    chain = _sample_chain(5)
-    assert sum(chain.balances().values()) == chain.total_issued()
+    chain = Chain()
+    issued = 0
+    for t in range(1, 6):
+        allocation = _allocation(t, {1: 500 + t, 3: 250}, {2: 100 * t})
+        block = chain.append_block(t, allocation)
+        assert sum(tx.amount_microtokens for tx in block.transactions) == \
+            allocation.total_issued
+        issued += allocation.total_issued
+    assert sum(chain.balances().values()) == issued
 
 
 def test_zero_amount_awards_are_not_recorded():
@@ -179,18 +192,22 @@ def test_file_round_trip_and_incremental_append(tmp_path):
     full_path = tmp_path / "full.ftlg"
     inc_path = tmp_path / "inc.ftlg"
     chain = Chain()
+    blocks = []
     with open(inc_path, "wb", buffering=0) as fh:
-        fh.write(Chain().to_bytes())
+        fh.write(LEDGER_HEADER)
         for t in range(1, 5):
-            chain.append_block(t, _allocation(t, {t: t * 11}))
-            append_to_file(fh, chain.blocks[-1])
+            blocks.append(chain.append_block(t, _allocation(t, {t: t * 11})))
+            append_to_file(fh, chain.head)
             # unbuffered: the block is in the file before the handle closes
-            assert Chain.load(inc_path).blocks == chain.blocks
-    full_path.write_bytes(chain.to_bytes())
+            assert read_blocks(inc_path) == (blocks, None)
+    _write(full_path, blocks)
     assert full_path.read_bytes() == inc_path.read_bytes()
+    assert verify_file(full_path) == (None, 4)
+    # loading folds the file into the head that appending built
     loaded = Chain.load(full_path)
-    assert loaded.verify() is None
-    assert loaded.total_issued() == chain.total_issued()
+    assert len(loaded) == len(chain) == 4
+    assert loaded.head == chain.head
+    assert loaded.balances() == chain.balances()
 
 
 class _ShortWriter:
@@ -205,16 +222,16 @@ class _ShortWriter:
 
 
 def test_append_to_file_finishes_a_short_write():
-    chain = _sample_chain(2)
+    blocks = _sample_blocks(2)
     fh = _ShortWriter()
-    for block in chain.blocks:
+    for block in blocks:
         append_to_file(fh, block)
-    assert bytes(fh.data) == chain.to_bytes()[6:]
+    assert bytes(fh.data) == b"".join(block.to_bytes() for block in blocks)
 
 
 def test_serialization_is_deterministic():
-    a = _sample_chain(3).to_bytes()
-    b = _sample_chain(3).to_bytes()
+    a = [block.to_bytes() for block in _sample_blocks(3)]
+    b = [block.to_bytes() for block in _sample_blocks(3)]
     assert a == b
 
 
@@ -232,6 +249,7 @@ def test_bad_magic_is_a_format_error(tmp_path):
 def test_random_allocation_sequences_always_verify(seed, n_rounds):
     gen = np.random.Generator(np.random.PCG64(seed))
     chain = Chain()
+    blocks = []
     expected_total = 0
     for t in range(1, n_rounds + 1):
         contribution = {int(c): int(gen.integers(0, 10**7))
@@ -241,22 +259,25 @@ def test_random_allocation_sequences_always_verify(seed, n_rounds):
                          for c in gen.choice(20, size=int(gen.integers(0, 4)),
                                              replace=False)}
         total = sum(contribution.values()) + sum(participation.values())
-        chain.append_block(t, RoundAllocation(t, contribution, participation, total))
+        blocks.append(chain.append_block(t, RoundAllocation(t, contribution, participation,
+                                                            total)))
         expected_total += total
-    assert chain.verify() is None
-    assert chain.total_issued() == expected_total
+    assert sum(tx.amount_microtokens for b in blocks for tx in b.transactions) == \
+        expected_total
     assert sum(chain.balances().values()) == expected_total
-    reloaded = Chain.from_bytes(chain.to_bytes())
-    assert reloaded.verify() is None
-    assert reloaded.total_issued() == expected_total
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _write(Path(tmp) / "ledger.ftlg", blocks)
+        assert verify_file(path) == (None, n_rounds)
+        reloaded = Chain.load(path)
+    assert sum(reloaded.balances().values()) == expected_total
+    assert reloaded.head == chain.head
 
 
 def test_random_bit_flips_are_always_detected(tmp_path):
-    chain = _sample_chain(6)
-    path = tmp_path / "ledger.ftlg"
-    path.write_bytes(chain.to_bytes())
+    blocks = _sample_blocks(6)
+    path = _write(tmp_path / "ledger.ftlg", blocks)
     blob = path.read_bytes()
-    sizes = [len(b.to_bytes()) for b in chain.blocks]
+    sizes = [len(b.to_bytes()) for b in blocks]
     starts = np.cumsum([6] + sizes).tolist()
     gen = np.random.Generator(np.random.PCG64(0))
     for _ in range(200):

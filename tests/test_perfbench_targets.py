@@ -15,7 +15,7 @@ import numpy as np
 from fedtoken import losses, rng
 from fedtoken.config import ExperimentConfig, load_config, validate
 from fedtoken.dual import upload_size
-from fedtoken.harness import build_simulation, run
+from fedtoken.harness import build_simulation, read_metrics, run
 
 # imported read-only: no bytecode is written next to the benchmark's files, and
 # sys.path is restored, as run.py adds the program's source directory to it
@@ -52,15 +52,16 @@ def _installed_tracer(monkeypatch):
     return recorder
 
 
-def test_tracer_counts_the_local_solve_work(monkeypatch):
+def test_tracer_counts_the_local_solve_work(monkeypatch, tmp_path):
     recorder = _installed_tracer(monkeypatch)
     cfg = validate(ExperimentConfig(seed=3, n_samples=80, dim=3, n_clients=6,
                                     m_fraction=0.5, rounds=2, local_passes=2,
                                     partition_scheme="dirichlet", dirichlet_beta=0.3))
-    result = run(cfg)
+    result = run(cfg, tmp_path)
 
     parts = result.state.partitions
-    cohorts = [set(m.selected) | set(m.rejected) | set(m.flagged) for m in result.metrics]
+    cohorts = [set(m["selected"]) | set(m["rejected"]) | set(m["flagged"])
+               for m in read_metrics(tmp_path / "metrics.jsonl")[:-1]]
     assert len(cohorts) == 2 and recorder.missing == []
     assert sum(span[0] == "dual.local_solve" for span in recorder.spans) == len(cohorts)
     assert recorder.counts["dual.coordinate_steps"] == \
@@ -69,7 +70,7 @@ def test_tracer_counts_the_local_solve_work(monkeypatch):
         sum(len(cohort) for cohort in cohorts) * upload_size(cfg.dim)
 
 
-def test_tracer_counts_the_valuation_work(monkeypatch):
+def test_tracer_counts_the_valuation_work(monkeypatch, tmp_path):
     # every TMC query is a UtilityContext.value call, and every cache miss
     # makes exactly one mean_loss call inside it, whichever scorer the loss picks
     recorder = _installed_tracer(monkeypatch)
@@ -79,15 +80,16 @@ def test_tracer_counts_the_valuation_work(monkeypatch):
         cfg = validate(ExperimentConfig(seed=5, n_samples=120, dim=4, n_clients=8,
                                         m_fraction=0.75, rounds=2, aggregation="fedtoken",
                                         delta=6, eps=0.01, loss=loss))
-        result = run(cfg)
+        run(cfg, tmp_path / loss)
+        rounds = read_metrics(tmp_path / loss / "metrics.jsonl")[:-1]
 
         in_value = {i for i in range(first, len(spans))
                     if spans[i][0] == "valuation.UtilityContext.value"}
         kernel_calls = sum(span[0] == tracer.MEAN_LOSS and span[3] in in_value
                            for span in spans[first:])
-        queries = sum(m.utility_queries for m in result.metrics)
-        evaluations = sum(m.utility_evaluations for m in result.metrics)
-        assert len(result.metrics) == 2 and recorder.missing == [], loss
+        queries = sum(m["utility_queries"] for m in rounds)
+        evaluations = sum(m["utility_evaluations"] for m in rounds)
+        assert len(rounds) == 2 and recorder.missing == [], loss
         assert queries > evaluations > 0, loss
         assert len(in_value) == queries, loss
         assert kernel_calls == evaluations, loss
