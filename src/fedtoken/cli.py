@@ -93,22 +93,25 @@ def _cmd_ledger(args) -> int:
     if not path.exists():
         print(f"ledger file not found: {path}", file=sys.stderr)
         return EXIT_VALIDATION
-    # every subcommand reads only a ledger that verifies, so any damage exits 3
-    blocks, bad = ledger.read_blocks(path)
-    if bad is not None:
-        print(f"tamper detected at block {bad}")
+    # every subcommand reads the whole file and prints only if it verifies
+    try:
+        if args.ledger_command == "round":
+            found = [b for b in ledger.iter_blocks(path) if b.index == args.round - 1]
+        else:
+            chain = ledger.Chain.load(path)
+    except ledger.LedgerFormatError as err:
+        print(f"tamper detected at block {err.block_index}")
         return EXIT_TAMPER
     if args.ledger_command == "verify":
-        print(f"ok: {len(blocks)} blocks verified")
+        print(f"ok: {len(chain)} blocks verified")
         return EXIT_OK
     if args.ledger_command == "balance":
-        print(sum(tx.amount_microtokens for block in blocks for tx in block.transactions
-                  if tx.client_id == args.client_id))
+        print(chain.balances().get(args.client_id, 0))
         return EXIT_OK
-    if not 1 <= args.round <= len(blocks):
+    if not found:
         print(f"round {args.round} is not on the chain", file=sys.stderr)
         return EXIT_VALIDATION
-    txs = blocks[args.round - 1].transactions
+    txs = found[0].transactions
     kinds = {ledger.KIND_CONTRIBUTION: "contribution",
              ledger.KIND_PARTICIPATION: "participation"}
     for tx in txs:

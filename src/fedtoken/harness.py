@@ -20,14 +20,15 @@ import io
 import json
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from . import ledger as ledger_mod
 from . import scheduler, tokenomics
 from .config import ConfigError, ExperimentConfig, with_overrides
-from .data import Dataset, _read_utf8, load_csv, partition, PartitionScheme, \
-    poison_labels, synth_gaussian, train_test_split
+from .data import Dataset, load_csv, partition, PartitionScheme, poison_labels, \
+    synth_gaussian, train_test_split
 from .dual import GlobalModel, save_model
 from .rng import RngStream
 from .scheduler import RoundMetrics, SimulationState
@@ -129,8 +130,8 @@ def _json_line(record: dict) -> str:
 def run(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> RunResult:
     """Execute rounds until the horizon or the budget-exhausted signal.
 
-    Each round's record and block are written as the round ends; the run
-    keeps only the last record, which the summary is built from.
+    Each round's block, then its record, is written as the round ends; the
+    run keeps only the last record, which the summary is built from.
 
     If a run with an output directory raises after opening its outputs, it
     ends ``metrics.jsonl`` and ``summary.json`` with a summary whose
@@ -159,14 +160,15 @@ def run(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> RunResult:
             phase = None
             m = scheduler.round_step(state, cfg)
             phase = "write"
-            if metrics_fh is not None:
-                metrics_fh.write(_json_line(m.to_record()))
+            if out is not None:
+                # a record that is not strict JSON fails before its block is written
+                line = _json_line(m.to_record())
+                ledger_mod.append_to_file(ledger_fh, state.chain.head)
+                metrics_fh.write(line)
                 metrics_fh.flush()
             last = m
             if rounds_to_target is None and m.test_accuracy >= cfg.target_accuracy:
                 rounds_to_target = m.round
-            if ledger_fh is not None:
-                ledger_mod.append_to_file(ledger_fh, state.chain.head)
             # a budget spent by the last round did not stop the run early
             if state.budget.exhausted and m.round < cfg.rounds:
                 stop_reason = "budget-exhausted"
@@ -250,38 +252,43 @@ class MetricsFormatError(ValueError):
     """A metrics file line that is not UTF-8 or not a JSON object."""
 
 
-def read_metrics(path: str | Path) -> list[dict]:
+def read_metrics(path: str | Path) -> Iterator[dict]:
+    """Yield a metrics file's records one line at a time; the first line that is
+    not UTF-8 or not a JSON object raises, named with universal newlines."""
     try:
-        text = _read_utf8(path)
+        # a byte that is not UTF-8 decodes to a lone surrogate, caught on its line
+        fh = open(path, encoding="utf-8", errors="surrogateescape")
     except OSError as err:
         raise MetricsFormatError(f"cannot read {path}: {err.strerror or err}") from err
-    except ValueError as err:
-        raise MetricsFormatError(str(err)) from None
-    records = []
-    # universal newlines, as a file opened in text mode numbers its lines
-    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as err:
-            raise MetricsFormatError(f"{path}:{lineno}: not JSON ({err.msg})") from None
-        if not isinstance(rec, dict):
-            raise MetricsFormatError(f"{path}:{lineno}: not a JSON object")
-        records.append(rec)
-    return records
+    with fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                line.encode("utf-8")
+                rec = json.loads(line)
+            except UnicodeEncodeError as err:
+                byte = ord(line[err.start]) - 0xDC00
+                raise MetricsFormatError(f"{path}:{lineno}: not UTF-8 (byte 0x{byte:02x})") \
+                    from None
+            except json.JSONDecodeError as err:
+                raise MetricsFormatError(f"{path}:{lineno}: not JSON ({err.msg})") from None
+            if not isinstance(rec, dict):
+                raise MetricsFormatError(f"{path}:{lineno}: not a JSON object")
+            yield rec
 
 
-def missing_contributions(records: list[dict], blocks: list[ledger_mod.Block],
+def missing_contributions(records: Iterable[dict], blocks: Iterable[ledger_mod.Block],
                           client_id: int) -> list[int]:
     """Rounds where the client sat in the cohort but earned zero tokens.
 
-    Joins the metrics stream (cohort membership) with the ledger's blocks,
-    in round order as ``ledger.read_blocks`` returns them (who was actually
-    paid); the ledger alone cannot answer this, since unpaid clients leave
-    no transactions.
+    A merge join of the metrics records (cohort membership) with the
+    ledger's blocks (who was actually paid), both in round order, as
+    ``read_metrics`` and ``ledger.iter_blocks`` yield them; the ledger alone
+    cannot answer this, since unpaid clients leave no transactions.
     """
+    blocks = iter(blocks)
     rounds = []
     for rec in records:
         if rec.get("record") != "round":
@@ -289,10 +296,11 @@ def missing_contributions(records: list[dict], blocks: list[ledger_mod.Block],
         cohort = set(rec["selected"]) | set(rec["rejected"]) | set(rec["flagged"])
         if client_id not in cohort:
             continue
-        if not 1 <= rec["round"] <= len(blocks):
+        block = next((b for b in blocks if b.index == rec["round"] - 1), None)
+        if block is None:
             raise LookupError(f"round {rec['round']} is not on the chain")
         paid = any(tx.client_id == client_id and tx.amount_microtokens > 0
-                   for tx in blocks[rec["round"] - 1].transactions)
+                   for tx in block.transactions)
         if not paid:
             rounds.append(rec["round"])
     return rounds
@@ -308,7 +316,7 @@ DEFAULT_REPORT_COLUMNS = ("round", "test_accuracy", "test_loss", "duality_gap",
 MAPPING_FIELDS = ("contributions",)
 
 
-def render_table(records: list[dict], columns=DEFAULT_REPORT_COLUMNS,
+def render_table(records: Iterable[dict], columns=DEFAULT_REPORT_COLUMNS,
                  gnuplot: bool = False) -> str:
     """Plain-text table of per-round records; gnuplot mode emits bare columns.
 
@@ -316,8 +324,6 @@ def render_table(records: list[dict], columns=DEFAULT_REPORT_COLUMNS,
     with commas, or is ``-`` when empty, and a mapping column is refused
     with a ConfigError.
     """
-    rows = [r for r in records if r.get("record") == "round"]
-
     def cell(r, c):
         v = r.get(c)
         if isinstance(v, float):
@@ -326,17 +332,18 @@ def render_table(records: list[dict], columns=DEFAULT_REPORT_COLUMNS,
             return ",".join(map(str, v)) or "-"
         return str(v)
 
+    rows = [[cell(r, c) for c in columns] for r in records if r.get("record") == "round"]
     if gnuplot:
         mapped = [c for c in columns if c in MAPPING_FIELDS]
         if mapped:
             raise ConfigError(f"gnuplot mode cannot print column {mapped[0]!r}: "
                               "it maps client ids to values")
         lines = ["# " + " ".join(columns)]
-        lines += [" ".join(cell(r, c) for c in columns) for r in rows]
+        lines += [" ".join(row) for row in rows]
         return "\n".join(lines) + "\n"
-    widths = [max(len(c), *(len(cell(r, c)) for r in rows)) if rows else len(c)
-              for c in columns]
+    widths = [max(len(c), *(len(row[i]) for row in rows)) if rows else len(c)
+              for i, c in enumerate(columns)]
     header = "  ".join(c.ljust(w) for c, w in zip(columns, widths))
     sep = "  ".join("-" * w for w in widths)
-    body = ["  ".join(cell(r, c).ljust(w) for c, w in zip(columns, widths)) for r in rows]
+    body = ["  ".join(v.ljust(w) for v, w in zip(row, widths)) for row in rows]
     return "\n".join([header, sep, *body]) + "\n"

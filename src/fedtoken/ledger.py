@@ -13,16 +13,18 @@ is 32 zero bytes.  Blocks carry only non-zero transactions, ordered by
 identical runs write byte-identical files.
 
 The blocks live only in the file.  A ``Chain`` is the ledger's head, all
-that making the next block needs; ``read_blocks`` parses and verifies a
-file for the readers of every block.
+that making the next block needs; ``iter_blocks`` reads a file back one
+verified block at a time, as each check needs only the previous hash.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 from .tokenomics import RoundAllocation
 
@@ -140,12 +142,8 @@ class Chain:
     @classmethod
     def load(cls, path: str | Path) -> "Chain":
         """Fold a ledger file's blocks into a head; a file that does not verify raises."""
-        blocks, bad = read_blocks(path)
-        if bad is not None:
-            raise LedgerFormatError(f"{path}: tamper detected at block {bad}",
-                                    block_index=bad)
         chain = cls()
-        for block in blocks:
+        for block in iter_blocks(path):
             chain._fold(block)
         return chain
 
@@ -162,64 +160,53 @@ def append_to_file(fh, block: Block) -> None:
         view = view[fh.write(view):]
 
 
-def _parse_blocks(blob: bytes) -> tuple[list[Block], LedgerFormatError | None]:
-    """Parse as far as the bytes allow; on damage, report where they broke."""
-    if len(blob) < 6 or blob[:4] != LEDGER_MAGIC:
-        return [], LedgerFormatError("not a ledger file", block_index=0)
-    version, = struct.unpack(">H", blob[4:6])
-    if version != LEDGER_VERSION:
-        return [], LedgerFormatError(f"unsupported ledger version {version}",
-                                     block_index=0)
-    blocks: list[Block] = []
-    pos = 6
-    while pos < len(blob):
-        k = len(blocks)
-        if pos + _HEAD_STRUCT.size > len(blob):
-            return blocks, LedgerFormatError(f"block {k} header truncated", block_index=k)
-        index, prev_hash, tx_count = _HEAD_STRUCT.unpack_from(blob, pos)
-        pos += _HEAD_STRUCT.size
-        need = tx_count * _TX_STRUCT.size + 32
-        if pos + need > len(blob):
-            return blocks, LedgerFormatError(f"block {k} body truncated", block_index=k)
-        txs = []
-        for _ in range(tx_count):
-            rnd, client, kind, amount = _TX_STRUCT.unpack_from(blob, pos)
-            pos += _TX_STRUCT.size
-            if kind not in (KIND_CONTRIBUTION, KIND_PARTICIPATION):
-                return blocks, LedgerFormatError(
-                    f"block {k} has an invalid transaction kind", block_index=k)
-            txs.append(TokenTransaction(rnd, client, kind, amount))
-        block_hash = blob[pos:pos + 32]
-        pos += 32
-        blocks.append(Block(index, prev_hash, tuple(txs), block_hash))
-    return blocks, None
+def iter_blocks(path: str | Path) -> Iterator[Block]:
+    """Yield a ledger file's blocks in order, each once it verifies.
 
-
-def read_blocks(path: str | Path) -> tuple[list[Block], int | None]:
-    """A ledger file's blocks, as far as its bytes parse, and the first bad index.
-
-    The index is None when the whole file verifies.  Every hash and link is
-    recomputed, and so are the writer's invariants, which a re-hashed
-    forgery could break: block k carries only round k + 1 transactions, in
-    strictly increasing (client_id, kind) order.  Failures on the parseable
-    prefix take precedence over structural damage further along; a clean
-    prefix followed by broken framing reports the block whose byte region
-    broke.  Header damage is attributed to index 0.
+    Every hash and link is recomputed, and so are the writer's invariants,
+    which a re-hashed forgery could break: block k carries only round k + 1
+    transactions of a known kind, in strictly increasing (client_id, kind)
+    order.  The first block that fails or is cut short raises
+    ``LedgerFormatError`` with its index, so a fault in the parseable prefix
+    wins over damage further along; header damage is block 0.  No read asks
+    for more bytes than the file has left, whatever a ``tx_count`` claims.
     """
-    blocks, error = _parse_blocks(Path(path).read_bytes())
-    prev = GENESIS_PREV_HASH
-    for k, block in enumerate(blocks):
-        keys = [(tx.client_id, tx.kind) for tx in block.transactions]
-        if (block.index != k or block.prev_hash != prev
-                or _hash_body(block.body_bytes()) != block.block_hash
-                or any(tx.round != k + 1 for tx in block.transactions)
-                or any(a >= b for a, b in zip(keys, keys[1:]))):
-            return blocks, k
-        prev = block.block_hash
-    return blocks, error.block_index if error is not None else None
+    with open(path, "rb") as fh:
+        left = os.fstat(fh.fileno()).st_size - len(LEDGER_HEADER)
+        if fh.read(len(LEDGER_HEADER)) != LEDGER_HEADER:
+            raise LedgerFormatError(f"{path}: not a version {LEDGER_VERSION} ledger file",
+                                    block_index=0)
+        prev, k = GENESIS_PREV_HASH, 0
+
+        def fault(reason: str) -> LedgerFormatError:
+            return LedgerFormatError(f"{path}: block {k} {reason}", block_index=k)
+
+        while left:
+            if left < _HEAD_STRUCT.size:
+                raise fault("header truncated")
+            head = fh.read(_HEAD_STRUCT.size)
+            index, prev_hash, tx_count = _HEAD_STRUCT.unpack(head)
+            left -= _HEAD_STRUCT.size + tx_count * _TX_STRUCT.size + 32
+            if left < 0:
+                raise fault("body truncated")
+            tx_bytes, block_hash = fh.read(tx_count * _TX_STRUCT.size), fh.read(32)
+            # the layout is fixed-width, so these are the block's body_bytes()
+            if index != k or prev_hash != prev or _hash_body(head + tx_bytes) != block_hash:
+                raise fault("does not verify")
+            txs, key = [], (-1, -1)
+            for rnd, client, kind, amount in _TX_STRUCT.iter_unpack(tx_bytes):
+                if kind not in (KIND_CONTRIBUTION, KIND_PARTICIPATION) or rnd != k + 1 \
+                        or (client, kind) <= key:
+                    raise fault("breaks the writer's kind, round or order")
+                key = (client, kind)
+                txs.append(TokenTransaction(rnd, client, kind, amount))
+            yield Block(index, prev_hash, tuple(txs), block_hash)
+            prev, k = block_hash, k + 1
 
 
 def verify_file(path: str | Path) -> tuple[int | None, int]:
-    """Verify persisted bytes; (first bad block index or None, blocks seen)."""
-    blocks, bad = read_blocks(path)
-    return bad, len(blocks)
+    """Verify persisted bytes: (None, blocks) or (first bad index, blocks before it)."""
+    try:
+        return None, sum(1 for _ in iter_blocks(path))
+    except LedgerFormatError as err:
+        return err.block_index, err.block_index

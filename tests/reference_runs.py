@@ -33,7 +33,7 @@ from pathlib import Path
 
 from fedtoken.config import ExperimentConfig, validate
 from fedtoken.harness import read_metrics, run
-from fedtoken.ledger import read_blocks
+from fedtoken.ledger import iter_blocks
 
 PATH = Path(__file__).resolve().parent / "data" / "reference_runs.json"
 
@@ -92,8 +92,8 @@ def record(overrides: dict) -> list[dict]:
     """One entry per round of the config's run, read from its artifacts."""
     with tempfile.TemporaryDirectory() as tmp:
         run(make_config(overrides), tmp)
-        records = read_metrics(Path(tmp) / "metrics.jsonl")[:-1]
-        blocks, _ = read_blocks(Path(tmp) / "ledger.ftlg")
+        records = list(read_metrics(Path(tmp) / "metrics.jsonl"))[:-1]
+        blocks = list(iter_blocks(Path(tmp) / "ledger.ftlg"))
     rounds = []
     for m, block in zip(records, blocks):
         rounds.append({

@@ -21,7 +21,7 @@ from fedtoken.config import ExperimentConfig, validate, with_overrides
 from fedtoken.data import synth_gaussian
 from fedtoken.dual import phi_of_alpha
 from fedtoken.harness import build_simulation, read_metrics, run, sweep
-from fedtoken.ledger import Chain, read_blocks, verify_file
+from fedtoken.ledger import Chain, iter_blocks, verify_file
 from fedtoken.rng import RngStream
 from fedtoken.scheduler import FEDAVG_ALL, FEDTOKEN, RANDOM_QUOTA, round_step
 from fedtoken.tokenomics import (AllocationPolicy, allocate_ep, allocate_pf,
@@ -262,8 +262,7 @@ def test_criterion_07_poisoner_starvation(selection_matrix):
     worst_flagged = 1.0
     for seed in SELECTION_SEEDS:
         entry = selection_matrix[seed][FEDTOKEN]
-        blocks, bad = read_blocks(entry["out"] / "ledger.ftlg")
-        assert bad is None
+        blocks = list(iter_blocks(entry["out"] / "ledger.ftlg"))
         poisoned = set(entry["poison"])
         starved = flagged = total = 0
         for m in _rounds(entry["out"]):
@@ -345,7 +344,7 @@ def test_criterion_10_ledger_integrity(exhaustion_run, tmp_path):
     run(res.config, rerun_dir)
     assert (rerun_dir / "ledger.ftlg").read_bytes() == source
 
-    blocks, _ = read_blocks(out / "ledger.ftlg")
+    blocks = list(iter_blocks(out / "ledger.ftlg"))
     assert len(blocks) == 20
     sizes = [len(b.to_bytes()) for b in blocks]
     starts = np.cumsum([6] + sizes).tolist()

@@ -1,9 +1,14 @@
 import gc
 import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
+import fedtoken
 from fedtoken import cli
 from fedtoken.config import (ConfigError, ExperimentConfig, save_config, validate,
                              with_overrides)
@@ -13,7 +18,7 @@ import pytest
 
 from fedtoken.harness import (missing_contributions, read_metrics, render_table,
                               run, sweep)
-from fedtoken.ledger import Block, Chain, read_blocks, verify_file
+from fedtoken.ledger import Block, Chain, iter_blocks, verify_file
 from fedtoken.scheduler import RoundMetrics
 
 
@@ -31,7 +36,7 @@ def test_smoke_run_emits_one_record_and_block(tmp_path):
     res = run(cfg, tmp_path)
     assert res.summary["rounds_executed"] == 1
     assert len(res.state.chain) == 1
-    records = read_metrics(tmp_path / "metrics.jsonl")
+    records = list(read_metrics(tmp_path / "metrics.jsonl"))
     assert [r["record"] for r in records] == ["round", "summary"]
     bad, blocks = verify_file(tmp_path / "ledger.ftlg")
     assert bad is None and blocks == 1
@@ -87,7 +92,7 @@ def test_error_summary_follows_the_rounds_written_before_the_failure(tmp_path, m
     monkeypatch.setattr(harness.scheduler, "round_step", fail_in_round_three)
     with pytest.raises(RuntimeError, match="exploded"):
         run(make_cfg(rounds=4), tmp_path)
-    records = read_metrics(tmp_path / "metrics.jsonl")
+    records = list(read_metrics(tmp_path / "metrics.jsonl"))
     assert [r["record"] for r in records] == ["round", "round", "summary"]
     summary = records[-1]
     assert summary["stop_reason"] == "error" and summary["failed_round"] == 3
@@ -136,7 +141,7 @@ def test_error_summary_names_the_failed_phase(tmp_path, monkeypatch, phase, aggr
     cfg = make_cfg(rounds=3, aggregation=aggregation)
     with pytest.raises(RuntimeError, match="broke"):
         run(cfg, tmp_path)
-    records = read_metrics(tmp_path / "metrics.jsonl")
+    records = list(read_metrics(tmp_path / "metrics.jsonl"))
     summary = records[-1]
     assert summary["stop_reason"] == "error" and summary["failed_round"] == 2
     assert summary["failed_phase"] == phase
@@ -149,6 +154,62 @@ def test_error_summary_names_the_failed_phase(tmp_path, monkeypatch, phase, aggr
     assert summary["budget_remaining_microtokens"] == cfg.total_microtokens - issued
     for key in ("uploaded_bytes", "committed_bytes"):
         assert summary[key] == (written[-1][key] if written else 0), key
+    # and the ledger, which is written before the records, paid what the summary says
+    ledger_issued = sum(Chain.load(tmp_path / "ledger.ftlg").balances().values())
+    assert ledger_issued == summary["tokens_issued_microtokens"]
+
+
+# a child process that runs the config argv[1] into argv[2] and dies in the
+# second call of argv[3]'s write, in round 2: the ledger's block append, or
+# the write of the metrics record through the handle the harness opens
+KILLED_RUN = """
+import os, sys
+from fedtoken import harness, ledger
+from fedtoken.config import load_config
+
+calls = []
+
+def dies_on_second_call(write):
+    def patched(*args):
+        calls.append(None)
+        if len(calls) == 2:
+            os._exit(17)
+        return write(*args)
+    return patched
+
+class Metrics:
+    def __init__(self, fh):
+        self.fh, self.write = fh, dies_on_second_call(fh.write)
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+if sys.argv[3] == "ledger":
+    ledger.append_to_file = dies_on_second_call(ledger.append_to_file)
+else:
+    harness.open = lambda path, mode, **kw: (Metrics(open(path, mode, **kw)) if mode == "w"
+                                             else open(path, mode, **kw))
+harness.run(load_config(sys.argv[1]), sys.argv[2])
+"""
+
+
+@pytest.mark.parametrize("site", ["ledger", "metrics"])
+def test_a_run_killed_at_a_write_leaves_artifacts_that_agree(tmp_path, site):
+    save_config(make_cfg(rounds=3), tmp_path / "cfg.ini")
+    out = tmp_path / "out"
+    src = str(Path(fedtoken.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    child = subprocess.run([sys.executable, "-c", KILLED_RUN, str(tmp_path / "cfg.ini"),
+                            str(out), site], env=env, capture_output=True, text=True,
+                           timeout=120)
+    assert child.returncode == 17, child.stderr
+    records = list(read_metrics(out / "metrics.jsonl"))
+    blocks = list(iter_blocks(out / "ledger.ftlg"))  # the ledger verifies
+    assert len(records) == 1  # round 1's, and no summary
+    assert len(records) <= len(blocks) <= len(records) + 1
+    for rec, block in zip(records, blocks):
+        assert rec["tokens_contribution"] + rec["tokens_participation"] == \
+            sum(tx.amount_microtokens for tx in block.transactions)
 
 
 def test_zero_rounds_returns_the_initial_model(tmp_path):
@@ -195,7 +256,7 @@ def test_a_ledger_that_cannot_be_opened_ends_the_run_with_an_error_summary(tmp_p
     (tmp_path / "ledger.ftlg").mkdir()
     with pytest.raises(IsADirectoryError):
         run(make_cfg(rounds=2), tmp_path)
-    summary = read_metrics(tmp_path / "metrics.jsonl")[-1]
+    summary = list(read_metrics(tmp_path / "metrics.jsonl"))[-1]
     assert summary["stop_reason"] == "error" and summary["rounds_executed"] == 0
     assert summary["failed_round"] is None and summary["failed_phase"] == "write"
 
@@ -222,7 +283,7 @@ def test_a_run_factors_its_test_set_at_most_once(tmp_path, monkeypatch, loss, bu
 
     monkeypatch.setattr(data, "streamed_r_factor", counted)
     run(make_cfg(loss=loss, rounds=3), tmp_path)
-    rounds = read_metrics(tmp_path / "metrics.jsonl")[:-1]
+    rounds = list(read_metrics(tmp_path / "metrics.jsonl"))[:-1]
     assert len(rounds) == 3
     assert all(r["utility_evaluations"] > 0 for r in rounds)
     assert len(calls) == builds
@@ -232,9 +293,8 @@ def test_metrics_and_ledger_agree_on_totals(tmp_path):
     cfg = make_cfg(rounds=6)
     res = run(cfg, tmp_path)
     from_metrics = sum(m["tokens_contribution"] + m["tokens_participation"]
-                       for m in read_metrics(tmp_path / "metrics.jsonl")[:-1])
-    blocks, bad = read_blocks(tmp_path / "ledger.ftlg")
-    assert bad is None
+                       for m in list(read_metrics(tmp_path / "metrics.jsonl"))[:-1])
+    blocks = list(iter_blocks(tmp_path / "ledger.ftlg"))
     assert sum(tx.amount_microtokens for b in blocks for tx in b.transactions) == from_metrics
     assert sum(Chain.load(tmp_path / "ledger.ftlg").balances().values()) == from_metrics
     assert sum(res.state.chain.balances().values()) == from_metrics
@@ -274,9 +334,8 @@ def test_equal_pay_and_sum_weighting_full_run(tmp_path):
     cfg = make_cfg(rounds=4, allocation="ep", weighting="sum", nu=0.2)
     res = run(cfg, tmp_path)
     assert res.summary["rounds_executed"] == 4
-    blocks, bad = read_blocks(tmp_path / "ledger.ftlg")
-    assert bad is None
-    for m in read_metrics(tmp_path / "metrics.jsonl")[:-1]:
+    blocks = list(iter_blocks(tmp_path / "ledger.ftlg"))
+    for m in list(read_metrics(tmp_path / "metrics.jsonl"))[:-1]:
         if len(m["selected"]) >= 2:
             paid = {tx.client_id: tx.amount_microtokens
                     for tx in blocks[m["round"] - 1].transactions
@@ -446,13 +505,13 @@ def test_round_step_preconditions():
 def test_missing_contributions_join(tmp_path):
     cfg = make_cfg(rounds=5, eps=float("inf"))  # everyone flagged, nobody paid
     run(cfg, tmp_path)
-    records = read_metrics(tmp_path / "metrics.jsonl")
-    blocks, _ = read_blocks(tmp_path / "ledger.ftlg")
-    assert missing_contributions(records, blocks, 0) == [1, 2, 3, 4, 5]
+    # both sides stream, in round order
+    assert missing_contributions(read_metrics(tmp_path / "metrics.jsonl"),
+                                 iter_blocks(tmp_path / "ledger.ftlg"), 0) == [1, 2, 3, 4, 5]
     paid_cfg = make_cfg(rounds=5)
     run(paid_cfg, tmp_path / "paid")
-    records = read_metrics(tmp_path / "paid" / "metrics.jsonl")
-    blocks, _ = read_blocks(tmp_path / "paid" / "ledger.ftlg")
+    records = list(read_metrics(tmp_path / "paid" / "metrics.jsonl"))
+    blocks = list(iter_blocks(tmp_path / "paid" / "ledger.ftlg"))
     some_paid_round = records[0]["round"]
     winner = records[0]["selected"][0]
     assert some_paid_round not in missing_contributions(records, blocks, winner)
@@ -463,11 +522,11 @@ def test_missing_contributions_join(tmp_path):
 
 def test_fedtoken_rounds_record_the_efficiency_residual(tmp_path):
     run(make_cfg(rounds=2), tmp_path / "fedtoken")
-    for m in read_metrics(tmp_path / "fedtoken" / "metrics.jsonl")[:-1]:
+    for m in list(read_metrics(tmp_path / "fedtoken" / "metrics.jsonl"))[:-1]:
         assert m["efficiency_residual"] is not None
         assert np.isfinite(m["efficiency_residual"])
     run(make_cfg(rounds=2, aggregation="fedavg-all"), tmp_path / "baseline")
-    baseline = read_metrics(tmp_path / "baseline" / "metrics.jsonl")[:-1]
+    baseline = list(read_metrics(tmp_path / "baseline" / "metrics.jsonl"))[:-1]
     assert len(baseline) == 2
     assert all(m["efficiency_residual"] is None for m in baseline)
 
@@ -508,7 +567,7 @@ def test_cli_ledger_commands(tmp_path, capsys):
     assert cli.main(["ledger", "verify", ledger_path]) == 0
     assert "ok: 3 blocks" in capsys.readouterr().out
 
-    some_client = read_metrics(out_dir / "metrics.jsonl")[0]["selected"][0]
+    some_client = list(read_metrics(out_dir / "metrics.jsonl"))[0]["selected"][0]
     assert cli.main(["ledger", "balance", ledger_path, str(some_client)]) == 0
     balance = int(capsys.readouterr().out.strip())
     assert balance == res.state.chain.balances()[some_client] > 0
@@ -528,7 +587,7 @@ def test_cli_ledger_commands(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", [["verify"], ["balance", "0"], ["round", "1"]])
 def test_cli_ledger_subcommands_all_exit_3_on_a_damaged_file(tmp_path, capsys, command):
-    # every subcommand verifies the file before it reads it
+    # every subcommand reads the whole file before it prints
     out_dir = tmp_path / "out"
     run(make_cfg(rounds=3), out_dir)
     blob = (out_dir / "ledger.ftlg").read_bytes()
@@ -575,13 +634,15 @@ def test_cli_report_rejects_unknown_columns_and_malformed_lines(tmp_path, capsys
         assert cli.main(["report", str(metrics), "--columns", columns]) == 1
         captured = capsys.readouterr()
         assert named in captured.err and captured.out == ""
-    good = metrics.read_text(encoding="utf-8")
-    for bad in ("{bad", "[1, 2]"):
+    good = metrics.read_bytes()
+    # a bad-JSON line before a line that is not UTF-8 is the one named
+    for bad in (b"{bad", b"[1, 2]", b'{bad\n{"round": "\xff"}'):
         broken = tmp_path / "broken.jsonl"
-        broken.write_text(good + bad + "\n", encoding="utf-8")
+        broken.write_bytes(good + bad + b"\n")
         assert cli.main(["report", str(broken)]) == 1
-        line = len(good.splitlines()) + 1
-        assert f"{broken}:{line}" in capsys.readouterr().err
+        line = good.count(b"\n") + 1
+        err = capsys.readouterr().err
+        assert f"{broken}:{line}" in err and "UTF-8" not in err
 
 
 def test_cli_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, capsys):

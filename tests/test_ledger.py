@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
+from fedtoken import cli
 from fedtoken.ledger import (Block, Chain, GENESIS_PREV_HASH, KIND_CONTRIBUTION,
                              KIND_PARTICIPATION, LEDGER_HEADER, LedgerFormatError,
-                             SequencingError, TokenTransaction, append_to_file, read_blocks,
+                             SequencingError, TokenTransaction, append_to_file, iter_blocks,
                              verify_file)
 from fedtoken.tokenomics import RoundAllocation
 
@@ -77,7 +78,7 @@ def test_verify_clean_chain(tmp_path):
     blocks = _sample_blocks()
     path = _write(tmp_path / "ledger.ftlg", blocks)
     assert verify_file(path) == (None, 3)
-    assert read_blocks(path) == (blocks, None)
+    assert list(iter_blocks(path)) == blocks
 
 
 def _rehashed(blocks, k, transactions):
@@ -107,8 +108,12 @@ def test_rehashed_chain_that_breaks_a_writer_invariant_is_detected(tmp_path, for
     # hashes and links are consistent, so only the invariants catch it
     assert all(b.prev_hash == a.block_hash for a, b in zip(forged, forged[1:]))
     path = _write(tmp_path / "ledger.ftlg", forged)
-    assert verify_file(path) == (2, 4)
-    assert read_blocks(path) == (forged, 2)
+    assert verify_file(path) == (2, 2)
+    read = []
+    with pytest.raises(LedgerFormatError, match="block 2") as err:
+        for block in iter_blocks(path):
+            read.append(block)
+    assert read == forged[:2] and err.value.block_index == 2
     with pytest.raises(LedgerFormatError, match="block 2"):
         Chain.load(path)  # a head is folded only from a file that verifies
     _write(path, _rehashed(blocks, 2, blocks[2].transactions))
@@ -163,8 +168,7 @@ def test_balances_and_round_queries(tmp_path):
     assert chain.balances() == {4: 5 * 10**6, 9: 7}
     assert len(chain) == 2 and chain.head == blocks[-1]
     # a round's transactions are listed from the file, where the blocks are
-    read, bad = read_blocks(_write(tmp_path / "ledger.ftlg", blocks))
-    assert bad is None
+    read = list(iter_blocks(_write(tmp_path / "ledger.ftlg", blocks)))
     assert {(tx.client_id, tx.kind, tx.amount_microtokens)
             for tx in read[1].transactions} == {
         (4, KIND_CONTRIBUTION, 2 * 10**6), (9, KIND_PARTICIPATION, 7)}
@@ -199,7 +203,7 @@ def test_file_round_trip_and_incremental_append(tmp_path):
             blocks.append(chain.append_block(t, _allocation(t, {t: t * 11})))
             append_to_file(fh, chain.head)
             # unbuffered: the block is in the file before the handle closes
-            assert read_blocks(inc_path) == (blocks, None)
+            assert list(iter_blocks(inc_path)) == blocks
     _write(full_path, blocks)
     assert full_path.read_bytes() == inc_path.read_bytes()
     assert verify_file(full_path) == (None, 4)
@@ -233,6 +237,30 @@ def test_serialization_is_deterministic():
     a = [block.to_bytes() for block in _sample_blocks(3)]
     b = [block.to_bytes() for block in _sample_blocks(3)]
     assert a == b
+
+
+# a tx_count of 2**32 - 1 claims 73 GB of transactions in block 0; a kind
+# byte of 7, in the last block, names no kind
+@pytest.mark.parametrize("k, offset, value, reason", [
+    pytest.param(0, 40, b"\xff\xff\xff\xff", "body truncated", id="tx-count"),
+    pytest.param(2, 52, b"\x07", "breaks the writer's kind", id="kind"),
+])
+def test_hostile_framing_is_a_format_error_at_its_block(tmp_path, capsys, k, offset, value,
+                                                        reason):
+    blocks = _sample_blocks(3)
+    starts = np.cumsum([6] + [len(b.to_bytes()) for b in blocks]).tolist()
+    path = _write(tmp_path / "ledger.ftlg", blocks)
+    blob = bytearray(path.read_bytes())
+    blob[starts[k] + offset:starts[k] + offset + len(value)] = value
+    # re-hash the last block, so its framing check catches it, not its hash
+    blob[-32:] = hashlib.sha256(blob[starts[2]:-32]).digest()
+    path.write_bytes(bytes(blob))
+    # the reader checks the claim against the file's bytes, so no MemoryError
+    assert verify_file(path) == (k, k)
+    with pytest.raises(LedgerFormatError, match=f"block {k} {reason}"):
+        Chain.load(path)
+    assert cli.main(["ledger", "verify", str(path)]) == 3
+    assert capsys.readouterr().out == f"tamper detected at block {k}\n"
 
 
 def test_bad_magic_is_a_format_error(tmp_path):

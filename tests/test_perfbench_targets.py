@@ -61,7 +61,7 @@ def test_tracer_counts_the_local_solve_work(monkeypatch, tmp_path):
 
     parts = result.state.partitions
     cohorts = [set(m["selected"]) | set(m["rejected"]) | set(m["flagged"])
-               for m in read_metrics(tmp_path / "metrics.jsonl")[:-1]]
+               for m in list(read_metrics(tmp_path / "metrics.jsonl"))[:-1]]
     assert len(cohorts) == 2 and recorder.missing == []
     assert sum(span[0] == "dual.local_solve" for span in recorder.spans) == len(cohorts)
     assert recorder.counts["dual.coordinate_steps"] == \
@@ -81,7 +81,7 @@ def test_tracer_counts_the_valuation_work(monkeypatch, tmp_path):
                                         m_fraction=0.75, rounds=2, aggregation="fedtoken",
                                         delta=6, eps=0.01, loss=loss))
         run(cfg, tmp_path / loss)
-        rounds = read_metrics(tmp_path / loss / "metrics.jsonl")[:-1]
+        rounds = list(read_metrics(tmp_path / loss / "metrics.jsonl"))[:-1]
 
         in_value = {i for i in range(first, len(spans))
                     if spans[i][0] == "valuation.UtilityContext.value"}

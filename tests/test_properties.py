@@ -20,7 +20,7 @@ from fedtoken import losses
 from fedtoken.config import ExperimentConfig, validate
 from fedtoken.dual import phi_of_alpha
 from fedtoken.harness import build_simulation, read_metrics, run
-from fedtoken.ledger import read_blocks
+from fedtoken.ledger import iter_blocks
 from fedtoken.rng import RngStream
 from fedtoken.scheduler import AGGREGATION_POLICIES, ceil_share, round_step, sample_cohort
 from oracles import oracle_run
@@ -96,7 +96,7 @@ def test_round_invariants_and_byte_identical_reruns(aggregation, loss, data):
         for name in ARTIFACTS:
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
         # the run's ledger file holds the blocks the stepped rounds made, and verifies
-        assert read_blocks(first / "ledger.ftlg") == (blocks, None)
+        assert list(iter_blocks(first / "ledger.ftlg")) == blocks
 
 
 @st.composite
@@ -134,7 +134,7 @@ def test_every_round_matches_the_plain_reference_run(aggregation, loss, data):
     cfg = data.draw(oracle_configs(aggregation, loss))
     with tempfile.TemporaryDirectory() as tmp:
         run(cfg, tmp)
-        got = read_metrics(Path(tmp) / "metrics.jsonl")[:-1]
+        got = list(read_metrics(Path(tmp) / "metrics.jsonl"))[:-1]
     for g in got:  # the record's JSON keys and lists, as the program's ints and tuples
         g["contributions"] = {int(c): v for c, v in g["contributions"].items()}
         for field in ("selected", "rejected", "flagged"):
