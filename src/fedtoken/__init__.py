@@ -16,8 +16,8 @@ from .dual import (Cohort, CohortUpdate, GlobalModel, Hyperparams, LocalUpdate, 
 from .harness import RunResult, build_simulation, missing_contributions, run, sweep
 from .ledger import Block, Chain, LedgerFormatError, SequencingError, TokenTransaction
 from .rng import RngStream
-from .scheduler import (RoundMetrics, RoundPlan, SelectionResult, aggregate,
-                        round_step, sample_cohort, select_top_q)
+from .scheduler import (RoundMetrics, SelectionResult, aggregate, round_step,
+                        sample_cohort, select_top_q)
 from .tokenomics import (AllocationPolicy, Budget, RoundAllocation, allocate_ep,
                          allocate_pf, participation_rewards, settle_round)
 from .valuation import (ContributionVector, UtilityContext, draw_permutations,

@@ -12,6 +12,7 @@ import math
 import warnings
 from array import array
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
 
@@ -195,11 +196,14 @@ def poison_labels(part: ClientPartition, dataset: Dataset, flip_fraction: float,
     """Return a copy of the dataset with some of the partition's labels negated.
 
     Exactly ``floor(flip_fraction * len(part))`` labels are flipped, chosen
-    uniformly by the stream; the input dataset is left untouched.
+    uniformly by the stream; the input dataset is left untouched.  As in
+    ``scheduler.ceil_share``, the floor is taken on the decimal the config
+    writes: ``0.29 * 100`` is 28.999999999999996.
     """
     if not 0.0 <= flip_fraction <= 1.0:
         raise ValueError("flip_fraction must be in [0, 1]")
-    n_flip = int(flip_fraction * len(part))
+    num, den = Fraction(str(flip_fraction)).as_integer_ratio()
+    n_flip = num * len(part) // den
     labels = dataset.labels.copy()
     if n_flip > 0:
         gen = stream.generator()

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -30,6 +31,7 @@ from .config import ConfigError, ExperimentConfig, with_overrides
 from .data import Dataset, load_csv, partition, PartitionScheme, poison_labels, \
     synth_gaussian, train_test_split
 from .dual import GlobalModel, save_model
+from .losses import LOGISTIC
 from .rng import RngStream
 from .scheduler import RoundMetrics, SimulationState
 
@@ -77,6 +79,19 @@ def build_simulation(cfg: ExperimentConfig) -> SimulationState:
         # config.validate checks this for synthetic data; a CSV's rows are known only now
         raise ConfigError(f"data.csv_path: its training split has {len(train)} rows, "
                           f"fewer than the {cfg.n_clients} clients")
+    if cfg.loss == LOGISTIC:
+        # |alpha_i| <= 1 bounds the model by |w| <= R / lambda, R the largest row
+        # norm over both splits.  R^2 finite and R / lambda <= 1e150 keep |w|^2
+        # (<= 1e300) and each margin |x.w| <= R^2 / lambda (< 1.4e304) finite.
+        with np.errstate(over="ignore"):
+            r2 = float(np.max(np.einsum("ij,ij->i", full.features, full.features)))
+        if not math.isfinite(r2):
+            key = "data.csv_path" if cfg.data_source == "csv" else "data.separation"
+            raise ConfigError(f"{key}: a feature row's squared norm overflows a float")
+        if math.sqrt(r2) > 1e150 * cfg.lam:
+            raise ConfigError(f"learning.lambda: {cfg.lam} puts the logistic model's norm "
+                              f"bound R / lambda above 1e150, with feature rows of norm "
+                              f"up to R = {math.sqrt(r2):.6g}")
     scheme = PartitionScheme(kind=cfg.partition_scheme, seed=cfg.seed,
                              shards_k=cfg.shards_k, dirichlet_beta=cfg.dirichlet_beta)
     parts = partition(train, cfg.n_clients, scheme)

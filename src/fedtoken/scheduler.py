@@ -1,23 +1,21 @@
 """Per-round orchestration: cohort sampling, selection, aggregation.
 
-A round runs: sample a cohort, solve its members' local updates in one
-lockstep cohort solve, value the updates (fedtoken policy only), pick at
-most ``quota`` of them, fold the chosen deltas into the global model with
-step weight nu, commit the matching dual steps, settle tokens, and append
-the round's block.  Clients that were not selected discard their step,
-which keeps the global model and the dual vector in exact correspondence.
-A delta-blind policy selects before the solve, so only the clients it keeps
-are solved; the whole cohort is still charged an upload.
-
-The reduction over selected deltas runs in ascending client-id order so
-floating-point sums are bit-reproducible.
+A round samples a cohort, then runs its policy's ordered table of phases in
+``POLICIES``: solve the local updates in one lockstep cohort solve, select at
+most ``quota`` clients (by TMC-Shapley value under the fedtoken policy, and
+before the solve under the delta-blind baselines, which solve only the
+clients they keep but charge the whole cohort an upload), fold the chosen
+deltas into the global model with step weight nu and commit the matching
+dual steps, settle tokens and append the round's block, and evaluate.
+Clients that were not selected discard their step, which keeps the global
+model and the dual vector in exact correspondence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -39,19 +37,6 @@ RANDOM_QUOTA = "random-quota"
 
 class BudgetExhausted(RuntimeError):
     """Raised when a round is attempted after the budget ran out."""
-
-
-@dataclass(frozen=True)
-class RoundPlan:
-    round: int
-    cohort: tuple[int, ...]
-    quota: int
-
-    def __post_init__(self):
-        if len(set(self.cohort)) != len(self.cohort):
-            raise ValueError("cohort ids must be unique")
-        if not 1 <= self.quota <= len(self.cohort):
-            raise ValueError("quota must be in [1, cohort size]")
 
 
 @dataclass(frozen=True)
@@ -176,44 +161,77 @@ def _test_metrics(model: np.ndarray, test: Dataset, loss: str) -> tuple[float, f
     return accuracy, mean_loss(loss, np.ones(1), scores[:, None], test.labels)
 
 
-# A selector picks the round's aggregated clients from the state, the config,
-# the RoundPlan, the cohort's deltas (None for a delta-blind policy) and the
-# run's root RngStream.  It returns the selection, the contributions that
-# allocation pays by (or None), the efficiency residual (or None) and the
-# utility context whose query counts the round reports (or None).
+# A phase takes the state, the config and the round's namespace ``r``, which
+# round_step starts (see there); it reads what earlier phases put in ``r``.
 
-def _select_fedtoken(state, cfg, plan, deltas, root):
-    ctx = UtilityContext(state.model.phi, deltas, state.test, cfg.loss,
-                         weighting=cfg.weighting, nu=_resolve_nu(cfg, plan.quota))
-    gen = root.scoped(round=plan.round, client=0, purpose="shapley-perms").generator()
-    u = tmc_shapley(ctx, plan.cohort, draw_permutations(gen, plan.cohort, cfg.delta),
-                    cfg.eps)
-    return select_top_q(u, plan.quota), u.u, efficiency_residual(u, ctx, plan.cohort), ctx
-
-
-def _select_fedavg_all(state, cfg, plan, deltas, root):
-    return SelectionResult(selected=plan.cohort, rejected=(),
-                           flagged_non_contributing=()), None, None, None
+def _local_solve(state, cfg, r):
+    """Solve the cohort's local updates: only the clients a selection already keeps."""
+    solving = r.cohort if r.selection is None else r.selection.selected
+    hyper = Hyperparams(lam=cfg.lam, local_passes=cfg.local_passes)
+    r.updates = local_solve(Cohort(tuple(state.partitions[c] for c in solving)),
+                            state.effective_train, state.alpha, state.model, cfg.loss,
+                            hyper, r.root.scoped(round=r.t, purpose="local-solve")).updates
+    state.uploaded_bytes += len(r.cohort) * upload_size(state.effective_train.d)
+    r.deltas = {c: upd.delta_phi for c, upd in r.updates.items()}
 
 
-def _select_random_quota(state, cfg, plan, deltas, root):
-    gen = root.scoped(round=plan.round, client=0, purpose="random-quota").generator()
-    picked = gen.choice(len(plan.cohort), size=plan.quota, replace=False)
-    chosen = tuple(sorted(plan.cohort[int(i)] for i in picked))
-    rest = tuple(c for c in plan.cohort if c not in chosen)
-    return SelectionResult(selected=chosen, rejected=rest,
-                           flagged_non_contributing=()), None, None, None
+def _value_and_select_top_q(state, cfg, r):
+    """TMC-Shapley contributions of the cohort's deltas; select the top quota."""
+    ctx = UtilityContext(state.model.phi, r.deltas, state.test, cfg.loss,
+                         weighting=cfg.weighting, nu=_resolve_nu(cfg, cfg.resolved_quota))
+    gen = r.root.scoped(round=r.t, client=0, purpose="shapley-perms").generator()
+    u = tmc_shapley(ctx, r.cohort, draw_permutations(gen, r.cohort, cfg.delta), cfg.eps)
+    r.selection = select_top_q(u, cfg.resolved_quota)
+    r.u, r.residual = u.u, efficiency_residual(u, ctx, r.cohort)
+    r.queries, r.evaluations = ctx.queries, ctx.evaluations
 
 
-class Policy(NamedTuple):
-    select: Callable
-    reads_deltas: bool  # if not, select runs before the solve, on the cohort alone
+def _select_all(state, cfg, r):
+    r.selection = SelectionResult(selected=r.cohort, rejected=(), flagged_non_contributing=())
 
 
+def _select_random_quota(state, cfg, r):
+    gen = r.root.scoped(round=r.t, client=0, purpose="random-quota").generator()
+    picked = gen.choice(len(r.cohort), size=cfg.resolved_quota, replace=False)
+    chosen = tuple(sorted(r.cohort[int(i)] for i in picked))
+    rest = tuple(c for c in r.cohort if c not in chosen)
+    r.selection = SelectionResult(selected=chosen, rejected=rest, flagged_non_contributing=())
+
+
+def _aggregate(state, cfg, r):
+    """Fold the selected deltas into the model and their steps into alpha."""
+    selected = r.selection.selected
+    nu_round = _resolve_nu(cfg, len(selected))
+    phi_next = aggregate(state.model.phi, r.selection, r.deltas, nu_round)
+    for c in selected:
+        commit(state.alpha, state.partitions[c].sample_indices, r.updates[c].rho, nu_round)
+    state.committed_bytes += len(selected) * upload_size(state.effective_train.d)
+    state.model = GlobalModel(phi_next)
+    state.round = r.t
+
+
+def _settle(state, cfg, r):
+    policy = AllocationPolicy(cfg.allocation, cfg.zeta, cfg.participation_for_selected)
+    r.allocation, state.budget = tokenomics.settle_round(state.budget, policy, r.u,
+                                                         r.selection, r.t)
+    r.block = state.chain.append_block(r.t, r.allocation)
+
+
+def _evaluate(state, cfg, r):
+    r.accuracy, r.test_loss = _test_metrics(state.model.phi, state.test, cfg.loss)
+    r.gap = duality_gap(state.alpha, state.effective_train, cfg.loss, cfg.lam)
+
+
+_AFTER_SELECTION = (("aggregate", _aggregate), ("settle", _settle), ("evaluate", _evaluate))
+
+# policy -> its round's (phase name, phase) pairs, in the order they run
 POLICIES = {
-    FEDTOKEN: Policy(_select_fedtoken, reads_deltas=True),
-    FEDAVG_ALL: Policy(_select_fedavg_all, reads_deltas=False),
-    RANDOM_QUOTA: Policy(_select_random_quota, reads_deltas=False),
+    FEDTOKEN: (("local-solve", _local_solve), ("valuation", _value_and_select_top_q),
+               *_AFTER_SELECTION),
+    FEDAVG_ALL: (("valuation", _select_all), ("local-solve", _local_solve),
+                 *_AFTER_SELECTION),
+    RANDOM_QUOTA: (("valuation", _select_random_quota), ("local-solve", _local_solve),
+                   *_AFTER_SELECTION),
 }
 AGGREGATION_POLICIES = tuple(POLICIES)
 
@@ -222,8 +240,8 @@ def round_step(state: SimulationState, cfg) -> RoundMetrics:
     """Execute one full round and advance the state in place.
 
     An exception raised inside the round gets a ``failed_phase`` attribute
-    naming the phase it was raised in: ``local-solve``, ``valuation``,
-    ``aggregate``, ``settle`` or ``evaluate``.
+    naming the phase of ``POLICIES[cfg.aggregation]`` it was raised in;
+    sampling the cohort counts as ``local-solve``.
     """
     if state.budget.exhausted:
         raise BudgetExhausted(f"budget exhausted after round {state.round}")
@@ -233,62 +251,32 @@ def round_step(state: SimulationState, cfg) -> RoundMetrics:
     phase = "local-solve"
     try:
         root = RngStream(cfg.seed)
-        cohort = sample_cohort(cfg.n_clients, cfg.m_fraction, t, root)
-        plan = RoundPlan(round=t, cohort=cohort, quota=cfg.resolved_quota)
-        hyper = Hyperparams(lam=cfg.lam, local_passes=cfg.local_passes)
-        rule = POLICIES[cfg.aggregation]
-
-        phase = "valuation"
-        early = None if rule.reads_deltas else rule.select(state, cfg, plan, None, root)
-        phase = "local-solve"
-        to_solve = cohort if early is None else early[0].selected
-        updates = local_solve(Cohort(tuple(state.partitions[c] for c in to_solve)),
-                              state.effective_train, state.alpha, state.model, cfg.loss,
-                              hyper, root.scoped(round=t, purpose="local-solve")).updates
-        state.uploaded_bytes += len(cohort) * upload_size(state.effective_train.d)
-        deltas = {c: upd.delta_phi for c, upd in updates.items()}
-
-        phase = "valuation"
-        selection, u, residual, ctx = early or rule.select(state, cfg, plan, deltas, root)
-        phase = "aggregate"
-        nu_round = _resolve_nu(cfg, len(selection.selected))
-        phi_next = aggregate(state.model.phi, selection, deltas, nu_round)
-        for c in selection.selected:
-            commit(state.alpha, state.partitions[c].sample_indices, updates[c].rho, nu_round)
-        state.committed_bytes += len(selection.selected) * upload_size(state.effective_train.d)
-        state.model = GlobalModel(phi_next)
-        state.round = t
-
-        phase = "settle"
-        policy = AllocationPolicy(cfg.allocation, cfg.zeta, cfg.participation_for_selected)
-        allocation, state.budget = tokenomics.settle_round(state.budget, policy, u, selection, t)
-        block = state.chain.append_block(t, allocation)
-
-        phase = "evaluate"
-        accuracy, test_loss = _test_metrics(phi_next, state.test, cfg.loss)
-        gap = duality_gap(state.alpha, state.effective_train, cfg.loss, cfg.lam)
+        r = SimpleNamespace(t=t, root=root,
+                            cohort=sample_cohort(cfg.n_clients, cfg.m_fraction, t, root),
+                            selection=None, u=None, residual=None, queries=0, evaluations=0)
+        for phase, run_phase in POLICIES[cfg.aggregation]:
+            run_phase(state, cfg, r)
     except Exception as err:
         err.failed_phase = phase
         raise
-    queries = ctx.queries if ctx is not None else 0
-    state.utility_queries += queries
+    state.utility_queries += r.queries
     return RoundMetrics(
         round=t,
         policy=cfg.aggregation,
-        test_accuracy=accuracy,
-        test_loss=test_loss,
-        duality_gap=gap,
-        contributions=dict(u or {}),
-        efficiency_residual=residual,
-        selected=selection.selected,
-        rejected=selection.rejected,
-        flagged=selection.flagged_non_contributing,
-        tokens_contribution=sum(allocation.contribution_awards.values()),
-        tokens_participation=sum(allocation.participation_awards.values()),
+        test_accuracy=r.accuracy,
+        test_loss=r.test_loss,
+        duality_gap=r.gap,
+        contributions=dict(r.u or {}),
+        efficiency_residual=r.residual,
+        selected=r.selection.selected,
+        rejected=r.selection.rejected,
+        flagged=r.selection.flagged_non_contributing,
+        tokens_contribution=sum(r.allocation.contribution_awards.values()),
+        tokens_participation=sum(r.allocation.participation_awards.values()),
         budget_remaining=state.budget.remaining,
         uploaded_bytes=state.uploaded_bytes,
         committed_bytes=state.committed_bytes,
-        utility_queries=queries,
-        utility_evaluations=ctx.evaluations if ctx is not None else 0,
-        block_hash=block.block_hash.hex(),
+        utility_queries=r.queries,
+        utility_evaluations=r.evaluations,
+        block_hash=r.block.block_hash.hex(),
     )

@@ -123,6 +123,21 @@ def test_poison_half_flips_exactly_and_reproducibly(two_class_200):
     assert flipped_a <= set(range(10))
 
 
+def test_poison_floors_the_decimal_fraction():
+    # the float products land just below a whole number: 28.999..., 56.999...
+    assert 0.29 * 100 < 29 and 0.57 * 100 < 57
+    ds = _make_dataset(400, seed=3)
+    for fraction, rows, want in ((0.29, 100, 29), (0.57, 100, 57), (0.5, 7, 3), (1.0, 9, 9)):
+        part = ClientPartition(0, tuple(range(rows)))
+        poisoned = poison_labels(part, ds, fraction, RngStream(5, client=0, purpose="poison"))
+        assert np.count_nonzero(poisoned.labels != ds.labels) == want, (fraction, rows)
+    for k in range(0, 101):
+        for rows in (1, 3, 50, 100, 257):
+            part = ClientPartition(0, tuple(range(rows)))
+            poisoned = poison_labels(part, ds, k / 100, RngStream(1, purpose="poison"))
+            assert np.count_nonzero(poisoned.labels != ds.labels) == k * rows // 100, (k, rows)
+
+
 def test_synth_two_points_are_balanced():
     ds = synth_gaussian(2, 1, 1.0, RngStream(4, purpose="synth-data"))
     assert sorted(ds.labels) == [-1.0, 1.0]

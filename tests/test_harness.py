@@ -19,7 +19,8 @@ import pytest
 from fedtoken.harness import (missing_contributions, read_metrics, render_table,
                               run, sweep)
 from fedtoken.ledger import Block, Chain, iter_blocks, verify_file
-from fedtoken.scheduler import RoundMetrics
+from fedtoken.scheduler import (FEDAVG_ALL, FEDTOKEN, POLICIES, RANDOM_QUOTA,
+                                RoundMetrics)
 
 
 def make_cfg(**overrides):
@@ -106,22 +107,24 @@ def test_error_summary_follows_the_rounds_written_before_the_failure(tmp_path, m
 # a callee of each phase; the test makes its second call raise, in round 2
 FAILING_CALLEES = {
     "local-solve": "fedtoken.scheduler.local_solve",
-    "valuation": "fedtoken.scheduler.tmc_shapley",
     "aggregate": "fedtoken.scheduler.aggregate",
     "settle": "fedtoken.tokenomics.settle_round",
     "evaluate": "fedtoken.scheduler.duality_gap",
-    "write": "fedtoken.ledger.append_to_file",
 }
+# the valuation phase's callee by policy: a delta-blind policy selects there,
+# before the solve, and builds one SelectionResult a round
+VALUATION_CALLEES = {FEDTOKEN: "fedtoken.scheduler.tmc_shapley",
+                     FEDAVG_ALL: "fedtoken.scheduler.SelectionResult",
+                     RANDOM_QUOTA: "fedtoken.scheduler.SelectionResult"}
 
-
-# a delta-blind policy selects before the solve: a failure in its selector
-# (random-quota builds one SelectionResult a round) is in the valuation
-# phase, not in the local solve that follows it
-FAILING_CASES = [pytest.param(phase, "fedtoken", callee, id=phase)
-                 for phase, callee in FAILING_CALLEES.items()]
-FAILING_CASES.append(pytest.param("valuation", "random-quota",
-                                  "fedtoken.scheduler.SelectionResult",
-                                  id="valuation-random-quota"))
+# one case for every (policy, phase) row of POLICIES, and one for the write
+FAILING_CASES = [
+    pytest.param(phase, policy,
+                 VALUATION_CALLEES[policy] if phase == "valuation" else FAILING_CALLEES[phase],
+                 id=phase if policy == FEDTOKEN else f"{phase}-{policy}")
+    for policy, phases in POLICIES.items() for phase, _ in phases]
+FAILING_CASES.append(pytest.param("write", FEDTOKEN, "fedtoken.ledger.append_to_file",
+                                  id="write"))
 
 
 @pytest.mark.parametrize("phase, aggregation, callee", FAILING_CASES)
@@ -726,6 +729,55 @@ def test_cli_rejects_a_csv_with_fewer_training_rows_than_clients(tmp_path, capsy
     assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 1
     assert "data.csv_path" in capsys.readouterr().err
     assert not out.exists()
+
+
+# a logistic run whose model norm bound R / lambda is too large, through its
+# feature rows' norms R or through lambda, exits 1 naming the key at fault
+LOGISTIC_PROBE = ("[run]\nseed = 1\n[data]\nn_samples = 200\ndim = 5\npartition = dirichlet\n"
+                  "{data}[learning]\nloss = {loss}\n{learning}[federation]\nn_clients = 10\n"
+                  "m_fraction = 0.5\nrounds = 3\n")
+
+
+@pytest.mark.parametrize("data, learning, key", [
+    ("separation = 1e300\n", "", "data.separation"),
+    ("", "lambda = 1e-300\n", "learning.lambda"),
+], ids=["separation", "lambda"])
+def test_cli_rejects_a_logistic_scale_that_overflows(tmp_path, capsys, data, learning, key):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(LOGISTIC_PROBE.format(data=data, loss="logistic", learning=learning),
+                   encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_rejects_a_csv_whose_rows_overflow_under_logistic_loss(tmp_path, capsys):
+    data = tmp_path / "huge.csv"
+    data.write_text("".join(f"{'+1' if i % 2 else '-1'},{i}e200,1\n" for i in range(1, 41)),
+                    encoding="utf-8")
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(f"[run]\nseed = 1\n[data]\nsource = csv\ncsv_path = {data}\n"
+                   "[federation]\nn_clients = 4\nrounds = 2\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "data.csv_path" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("loss, data, learning", [
+    ("logistic", "", "lambda = 1e-140\n"),
+    ("squared", "separation = 1e300\n", ""),
+], ids=["logistic-small-lambda", "squared-wide-separation"])
+def test_cli_runs_the_scales_the_logistic_bound_admits(tmp_path, loss, data, learning):
+    # tier-1 turns a RuntimeWarning into an error: the run overflows nowhere
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(LOGISTIC_PROBE.format(data=data, loss=loss, learning=learning),
+                   encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+    assert summary["rounds_executed"] == 3 and summary["stop_reason"] == "horizon"
 
 
 @pytest.mark.parametrize("text, reason", [

@@ -7,9 +7,9 @@ from fedtoken.dual import phi_of_alpha
 from fedtoken.data import Dataset
 from fedtoken.harness import build_simulation
 from fedtoken.rng import RngStream
-from fedtoken.scheduler import (FEDAVG_ALL, FEDTOKEN, RANDOM_QUOTA, RoundPlan,
-                                SelectionResult, _test_metrics, aggregate, ceil_share,
-                                round_step, sample_cohort, select_top_q)
+from fedtoken.scheduler import (FEDAVG_ALL, FEDTOKEN, RANDOM_QUOTA, SelectionResult,
+                                _test_metrics, aggregate, ceil_share, round_step,
+                                sample_cohort, select_top_q)
 from fedtoken.valuation import ContributionVector
 
 
@@ -56,14 +56,19 @@ def test_config_cohort_and_quota_use_the_decimal_ceiling():
 
 
 def test_sample_cohort_draws_the_config_cohort_size():
-    # the grid holds all 27 (k/100, N <= 200) pairs whose float product overshoots
+    # the grid holds all 27 (k/100, N <= 200) pairs whose float product
+    # overshoots; a round's phases index partitions by these distinct ids
     for n_clients in (1, 7, 13, 25, 50, 75, 100, 150, 175, 180, 200):
         for m_fraction in (0.07, 0.1, 0.14, 0.28, 0.34, 0.5, 0.55, 0.56, 0.68, 1.0):
-            cfg = ExperimentConfig(seed=4, n_clients=n_clients, m_fraction=m_fraction)
-            for t in (1, 2):
-                cohort = sample_cohort(n_clients, m_fraction, t, RngStream(cfg.seed))
-                assert len(cohort) == len(set(cohort)) == cfg.cohort_size, (n_clients, m_fraction)
-                assert all(0 <= c < n_clients for c in cohort)
+            for seed in (4, 0, 2**40 + 3):
+                cfg = ExperimentConfig(seed=seed, n_clients=n_clients, m_fraction=m_fraction)
+                assert cfg.cohort_size == ceil_share(m_fraction, n_clients)
+                for t in (1, 2, 5):
+                    cohort = sample_cohort(n_clients, m_fraction, t, RngStream(cfg.seed))
+                    assert len(cohort) == len(set(cohort)) == cfg.cohort_size, \
+                        (n_clients, m_fraction)
+                    assert list(cohort) == sorted(cohort)
+                    assert all(isinstance(c, int) and 0 <= c < n_clients for c in cohort)
 
 
 def test_select_top_q_orders_and_flags():
@@ -132,13 +137,6 @@ def test_test_metrics_equal_the_two_product_form_to_the_bit(loss):
         accuracy = float(np.mean(np.where(scores > 0.0, 1.0, -1.0) == labels))
         test_loss = losses.mean_loss(loss, model, features, labels)
         assert _test_metrics(model, test, loss) == (accuracy, test_loss)
-
-
-def test_round_plan_validation():
-    with pytest.raises(ValueError):
-        RoundPlan(1, (0, 0, 1), 2)
-    with pytest.raises(ValueError):
-        RoundPlan(1, (0, 1), 3)
 
 
 def test_phi_alpha_consistency_across_policies():
