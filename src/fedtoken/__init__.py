@@ -18,8 +18,7 @@ from .ledger import Block, Chain, LedgerFormatError, SequencingError, TokenTrans
 from .rng import RngStream
 from .scheduler import (RoundMetrics, SelectionResult, aggregate, round_step,
                         sample_cohort, select_top_q)
-from .tokenomics import (AllocationPolicy, Budget, RoundAllocation, allocate_ep,
-                         allocate_pf, participation_rewards, settle_round)
+from .tokenomics import RoundAllocation, allocate_ep, allocate_pf, settle_round
 from .valuation import (ContributionVector, UtilityContext, draw_permutations,
                         efficiency_residual, tmc_shapley)
 

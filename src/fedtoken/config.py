@@ -241,7 +241,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"cannot read {path}: {err.strerror or err}") from err
     except ValueError as err:
         raise ConfigError(str(err)) from None
-    parser = configparser.ConfigParser(interpolation=None)
+    # no default section: a [DEFAULT] is an unknown section like any other
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         # universal newlines, as a file opened in text mode splits its lines
         parser.read_file(io.StringIO(text, newline=None), source=str(path))

@@ -26,7 +26,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import ledger as ledger_mod
-from . import scheduler, tokenomics
+from . import scheduler
 from .config import ConfigError, ExperimentConfig, with_overrides
 from .data import Dataset, load_csv, partition, PartitionScheme, poison_labels, \
     synth_gaussian, train_test_split
@@ -99,19 +99,13 @@ def build_simulation(cfg: ExperimentConfig) -> SimulationState:
     for c in cfg.poison_clients:
         effective = poison_labels(parts[c], effective, cfg.flip_fraction,
                                   RngStream(cfg.seed, client=c, purpose="poison"))
-    budget = tokenomics.Budget(
-        total_microtokens=cfg.total_microtokens,
-        per_round_microtokens=cfg.resolved_per_round_microtokens,
-        participation_base_microtokens=cfg.resolved_participation_base,
-        remaining=cfg.total_microtokens,
-    )
     return SimulationState(
         effective_train=effective,
         test=test,
         partitions=parts,
         model=GlobalModel(np.zeros(train.d)),
         alpha=np.zeros(len(train)),
-        budget=budget,
+        remaining=cfg.total_microtokens,
         chain=ledger_mod.Chain(),
     )
 
@@ -185,7 +179,7 @@ def run(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> RunResult:
             if rounds_to_target is None and m.test_accuracy >= cfg.target_accuracy:
                 rounds_to_target = m.round
             # a budget spent by the last round did not stop the run early
-            if state.budget.exhausted and m.round < cfg.rounds:
+            if state.remaining == 0 and m.round < cfg.rounds:
                 stop_reason = "budget-exhausted"
                 break
         failed_round = None

@@ -26,7 +26,6 @@ from .dual import (Cohort, GlobalModel, Hyperparams, commit, duality_gap, local_
 from .ledger import Chain
 from .losses import mean_loss
 from .rng import RngStream
-from .tokenomics import AllocationPolicy, Budget
 from .valuation import (ContributionVector, UtilityContext, draw_permutations,
                         efficiency_residual, tmc_shapley)
 
@@ -84,7 +83,7 @@ class SimulationState:
     partitions: list[ClientPartition]  # partitions[c]: client c's rows of effective_train
     model: GlobalModel
     alpha: np.ndarray         # one dual coordinate per training row
-    budget: Budget
+    remaining: int            # microtokens of the budget left to issue
     chain: Chain
     round: int = 0
     uploaded_bytes: int = 0
@@ -211,9 +210,8 @@ def _aggregate(state, cfg, r):
 
 
 def _settle(state, cfg, r):
-    policy = AllocationPolicy(cfg.allocation, cfg.zeta, cfg.participation_for_selected)
-    r.allocation, state.budget = tokenomics.settle_round(state.budget, policy, r.u,
-                                                         r.selection, r.t)
+    r.allocation, state.remaining = tokenomics.settle_round(cfg, state.remaining, r.u,
+                                                            r.selection, r.t)
     r.block = state.chain.append_block(r.t, r.allocation)
 
 
@@ -243,7 +241,7 @@ def round_step(state: SimulationState, cfg) -> RoundMetrics:
     naming the phase of ``POLICIES[cfg.aggregation]`` it was raised in;
     sampling the cohort counts as ``local-solve``.
     """
-    if state.budget.exhausted:
+    if state.remaining == 0:
         raise BudgetExhausted(f"budget exhausted after round {state.round}")
     if state.round >= cfg.rounds:
         raise RuntimeError("round horizon already reached")
@@ -273,7 +271,7 @@ def round_step(state: SimulationState, cfg) -> RoundMetrics:
         flagged=r.selection.flagged_non_contributing,
         tokens_contribution=sum(r.allocation.contribution_awards.values()),
         tokens_participation=sum(r.allocation.participation_awards.values()),
-        budget_remaining=state.budget.remaining,
+        budget_remaining=state.remaining,
         uploaded_bytes=state.uploaded_bytes,
         committed_bytes=state.committed_bytes,
         utility_queries=r.queries,

@@ -2,54 +2,26 @@
 
 All amounts are integer microtokens (1e-6 token) and all arithmetic is on
 integers, so the cumulative issue never exceeds the budget by even one unit.
-Each round draws at most ``per_round_microtokens`` from the remaining
-budget, pays participation set-asides first (discounted by zeta^t, computed
-once a round, for clients left out of aggregation), then splits the rest
-across the selected clients either proportionally to their clipped
-contributions or equally.
-
-Clients flagged as non-contributing (u <= 0) receive nothing that round.
+``settle_round`` reads the ``[tokens]`` settings from the config, which
+``config.validate`` has checked, and the microtokens left as a plain int.
+Round t draws a pool of at most ``per_round_microtokens`` from what is left.
+One pass over the sorted cohort grants each client its participation
+set-aside and clips it to what the pool still holds: flagged clients get
+nothing, selected clients the undiscounted base if
+``participation_for_selected`` is set and nothing otherwise, and the rest
+the base discounted by zeta^t (computed once a round).  What the pool has
+left is split across the selected clients, either proportionally to their
+clipped contributions or equally.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 PROPORTIONAL_FAIR = "pf"
 EQUAL_PAY = "ep"
 ALLOCATION_KINDS = (PROPORTIONAL_FAIR, EQUAL_PAY)
-
-
-@dataclass(frozen=True)
-class Budget:
-    total_microtokens: int
-    per_round_microtokens: int
-    participation_base_microtokens: int
-    remaining: int
-
-    def __post_init__(self):
-        if self.total_microtokens < 0 or self.remaining < 0:
-            raise ValueError("budget amounts must be non-negative")
-        if self.per_round_microtokens > self.total_microtokens:
-            raise ValueError("per-round pool exceeds the total budget")
-
-    @property
-    def exhausted(self) -> bool:
-        return self.remaining == 0
-
-
-@dataclass(frozen=True)
-class AllocationPolicy:
-    kind: str
-    discount_zeta: float
-    participation_for_selected: bool = False
-
-    def __post_init__(self):
-        if self.kind not in ALLOCATION_KINDS:
-            raise ValueError(f"unknown allocation kind {self.kind!r}")
-        if not 0.0 < self.discount_zeta < 1.0:
-            raise ValueError("discount_zeta must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -106,70 +78,36 @@ def _discounted(p0: int, zeta: float, t: int) -> int:
     return p0 * a**t // b**t
 
 
-def participation_rewards(cohort, selection, t: int, policy: AllocationPolicy,
-                          p0: int) -> dict[int, int]:
-    """Set-aside awards for round t.
+def settle_round(cfg, remaining: int, u: dict[int, float] | None, selection,
+                 t: int) -> tuple[RoundAllocation, int]:
+    """Issue round t's tokens out of ``remaining``; return them and what is left.
 
-    Unselected cohort members that were not flagged get the set-aside,
-    undiscounted in the first round and scaled by zeta^t afterwards.
-    Selected clients get the full set-aside only if the policy says so;
-    flagged clients always get zero.
+    ``u`` is None under the baseline policies, which value nothing, so their
+    contribution pool is split equally.  Zero left is the budget-exhausted
+    signal.
     """
-    if t < 1:
-        raise ValueError("rounds are 1-based")
+    p0 = cfg.resolved_participation_base
+    discounted = _discounted(p0, cfg.zeta, t)
     selected = set(selection.selected)
     flagged = set(selection.flagged_non_contributing)
-    discounted = _discounted(p0, policy.discount_zeta, t)
-    awards: dict[int, int] = {}
-    for c in sorted(int(c) for c in cohort):
-        if c in flagged:
-            awards[c] = 0
-        elif c in selected:
-            awards[c] = p0 if policy.participation_for_selected else 0
-        else:
-            awards[c] = discounted
-    return awards
-
-
-def settle_round(budget: Budget, policy: AllocationPolicy,
-                 u: dict[int, float] | None, selection, t: int) -> tuple[RoundAllocation, Budget]:
-    """Issue this round's tokens and return the decremented budget.
-
-    The round pool is capped by what remains.  Participation set-asides are
-    paid first (clipped, lowest ids first, if the pool cannot cover them);
-    the rest is the contribution pool for the selected clients.  When no
-    contribution vector is available (baseline policies) the contribution
-    pool is split equally.  A remaining balance of zero after settlement is
-    the budget-exhausted signal.
-    """
-    pool_round = min(budget.per_round_microtokens, budget.remaining)
-    cohort = sorted(set(selection.selected) | set(selection.rejected)
-                    | set(selection.flagged_non_contributing))
-
-    wanted = participation_rewards(cohort, selection, t, policy,
-                                   budget.participation_base_microtokens)
+    left = min(cfg.resolved_per_round_microtokens, remaining)
     participation: dict[int, int] = {}
-    left = pool_round
-    for c in sorted(wanted):
-        grant = min(wanted[c], left)
-        participation[c] = grant
-        left -= grant
+    for c in sorted(selected | set(selection.rejected) | flagged):
+        if c in flagged:
+            want = 0
+        elif c in selected:
+            want = p0 if cfg.participation_for_selected else 0
+        else:
+            want = discounted
+        participation[c] = min(want, left)
+        left -= participation[c]
 
-    selected = sorted(int(c) for c in selection.selected)
-    if u is not None and policy.kind == PROPORTIONAL_FAIR:
-        contribution = allocate_pf({c: u[c] for c in selected}, left)
+    ranked = sorted(selected)
+    if u is not None and cfg.allocation == PROPORTIONAL_FAIR:
+        contribution = allocate_pf({c: u[c] for c in ranked}, left)
     else:
-        contribution = allocate_ep(selected, left)
-
-    flagged = set(selection.flagged_non_contributing)
-    assert all(contribution.get(c, 0) == 0 and participation.get(c, 0) == 0
-               for c in flagged)
+        contribution = allocate_ep(ranked, left)
+    assert all(contribution.get(c, 0) == 0 for c in flagged)
 
     total = sum(participation.values()) + sum(contribution.values())
-    allocation = RoundAllocation(
-        round=t,
-        contribution_awards=contribution,
-        participation_awards=participation,
-        total_issued=total,
-    )
-    return allocation, replace(budget, remaining=budget.remaining - total)
+    return RoundAllocation(t, contribution, participation, total), remaining - total

@@ -323,10 +323,10 @@ def oracle_run(cfg, paid: list[dict[int, float] | None]) -> list[dict]:
     """
     state = build_simulation(cfg)
     train, test = state.effective_train, state.test
-    alpha, phi, remaining = state.alpha.copy(), state.model.phi, state.budget.remaining
+    alpha, phi, remaining = state.alpha.copy(), state.model.phi, cfg.total_microtokens
     root, chain = RngStream(cfg.seed), Chain()
     hyper = Hyperparams(lam=cfg.lam, local_passes=cfg.local_passes)
-    p0, quota = state.budget.participation_base_microtokens, cfg.resolved_quota
+    p0, quota = cfg.resolved_participation_base, cfg.resolved_quota
 
     def mean_test_loss(model):
         return float(loss_values(cfg.loss, test.features @ model, test.labels).mean())
@@ -384,7 +384,7 @@ def oracle_run(cfg, paid: list[dict[int, float] | None]) -> list[dict]:
         for c in selected:
             alpha[state.partitions[c].sample_indices] += nu * updates[c].rho
 
-        pool = min(state.budget.per_round_microtokens, remaining)
+        pool = min(cfg.resolved_per_round_microtokens, remaining)
         participation = {}
         for c in cohort:
             if c in flagged:

@@ -24,8 +24,7 @@ from fedtoken.harness import build_simulation, read_metrics, run, sweep
 from fedtoken.ledger import Chain, iter_blocks, verify_file
 from fedtoken.rng import RngStream
 from fedtoken.scheduler import FEDAVG_ALL, FEDTOKEN, RANDOM_QUOTA, round_step
-from fedtoken.tokenomics import (AllocationPolicy, allocate_ep, allocate_pf,
-                                 participation_rewards)
+from fedtoken.tokenomics import allocate_ep, allocate_pf, settle_round
 from fedtoken.valuation import UtilityContext, efficiency_residual, tmc_shapley
 from oracles import GameUtility, exact_shapley
 
@@ -288,7 +287,7 @@ def test_criterion_08_token_conservation_and_fairness(tmp_path):
     res = run(cfg, tmp_path)
     chain = Chain.load(tmp_path / "ledger.ftlg")
     assert sum(chain.balances().values()) == \
-        cfg.total_microtokens - res.state.budget.remaining
+        cfg.total_microtokens - res.state.remaining
 
     gen = np.random.Generator(np.random.PCG64(4)
                               )
@@ -303,10 +302,11 @@ def test_criterion_08_token_conservation_and_fairness(tmp_path):
         ep = allocate_ep(list(weights), pool)
         assert max(ep.values()) - min(ep.values()) <= 1
 
-    policy = AllocationPolicy("pf", 0.7)
+    decay = with_overrides(cfg, participation_base_microtokens=10**6, zeta=0.7)
     sel = type("S", (), {"selected": (0,), "rejected": (1,),
                          "flagged_non_contributing": ()})()
-    award = participation_rewards((0, 1), sel, 3, policy, 10**6)[1]
+    allocation, _ = settle_round(decay, decay.total_microtokens, None, sel, 3)
+    award = allocation.participation_awards[1]
     assert award == math.floor(10**6 * 0.343) == 343000
     print("PASS criterion 8: ledger conservation exact, PF within 1 microtoken, "
           "EP within 1, decay(t=3, zeta=0.7) = 343000")
@@ -327,7 +327,7 @@ def test_criterion_09_budget_exhaustion(exhaustion_run):
     res, out = exhaustion_run
     assert res.summary["stop_reason"] == "budget-exhausted"
     assert res.summary["rounds_executed"] == 20
-    assert res.state.budget.remaining == 0
+    assert res.state.remaining == 0
     bad, blocks = verify_file(out / "ledger.ftlg")
     assert bad is None and blocks == 20
     print("PASS criterion 9: 1000-token budget at 50/round exhausts at round 20 "

@@ -37,6 +37,13 @@ def test_unknown_section_and_key_are_rejected(tmp_path):
     bad_key.write_text("[run]\nseed = 1\nturbo = on\n", encoding="utf-8")
     with pytest.raises(ConfigError, match="run.turbo"):
         load_config(bad_key)
+    # configparser's DEFAULT section would lend its keys to every section
+    for text in ("[DEFAULT]\nseed = 3\n[run]\n", "[DEFAULT]\nseed = 3\n[run]\n[data]\ndim = 3\n",
+                 "[DEFAULT]\nbogus = 3\n", "[run]\nseed = 1\n[DEFAULT]\nseed = 2\n"):
+        defaults = tmp_path / "c.ini"
+        defaults.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError, match=r"^unknown section \[DEFAULT\]$"):
+            load_config(defaults)
 
 
 def test_malformed_value_names_the_key(tmp_path):
@@ -132,6 +139,22 @@ def test_with_overrides_revalidates():
     cfg = validate(ExperimentConfig(seed=1))
     with pytest.raises(ConfigError):
         with_overrides(cfg, zeta=1.5)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("allocation", "bogus"),
+    ("zeta", "0"),
+    ("zeta", "1"),
+    ("per_round_microtokens", "0"),
+    ("per_round_microtokens", str(1000 * 10**6 + 1)),  # above the default total
+    ("participation_base_microtokens", "-1"),
+])
+def test_validate_is_the_one_check_on_the_tokens_section(tmp_path, key, value):
+    # settlement reads these keys unchecked, so the file must fail here
+    path = tmp_path / "tokens.ini"
+    path.write_text(f"[run]\nseed = 1\n[tokens]\n{key} = {value}\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"^tokens\\.{key}: "):
+        load_config(path)
 
 
 def test_missing_file_is_a_config_error(tmp_path):

@@ -301,7 +301,7 @@ def test_metrics_and_ledger_agree_on_totals(tmp_path):
     assert sum(tx.amount_microtokens for b in blocks for tx in b.transactions) == from_metrics
     assert sum(Chain.load(tmp_path / "ledger.ftlg").balances().values()) == from_metrics
     assert sum(res.state.chain.balances().values()) == from_metrics
-    assert from_metrics == cfg.total_microtokens - res.state.budget.remaining
+    assert from_metrics == cfg.total_microtokens - res.state.remaining
     assert from_metrics == res.summary["tokens_issued_microtokens"]
 
 
@@ -311,13 +311,13 @@ def test_budget_exhaustion_stops_the_run():
     res = run(cfg)
     assert res.summary["stop_reason"] == "budget-exhausted"
     assert res.summary["rounds_executed"] == 4
-    assert res.state.budget.remaining == 0
+    assert res.state.remaining == 0
 
 
 @pytest.mark.parametrize("total_tokens", [1, 500])
 def test_a_budget_the_last_round_spends_ends_at_the_horizon(total_tokens):
     res = run(make_cfg(rounds=4, total_tokens=total_tokens))
-    assert res.state.budget.remaining == 0
+    assert res.state.remaining == 0
     assert res.summary["rounds_executed"] == 4
     assert res.summary["stop_reason"] == "horizon"
 
@@ -499,8 +499,7 @@ def test_round_step_preconditions():
     round_step(state, cfg)
     with pytest.raises(RuntimeError, match="horizon"):
         round_step(state, cfg)
-    import dataclasses
-    state.budget = dataclasses.replace(state.budget, remaining=0)
+    state.remaining = 0
     with pytest.raises(BudgetExhausted):
         round_step(state, make_cfg(rounds=5, per_round_microtokens=10**6))
 

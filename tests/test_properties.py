@@ -20,7 +20,7 @@ from fedtoken import losses
 from fedtoken.config import ExperimentConfig, validate
 from fedtoken.dual import phi_of_alpha
 from fedtoken.harness import build_simulation, read_metrics, run
-from fedtoken.ledger import iter_blocks
+from fedtoken.ledger import MAX_AMOUNT, iter_blocks
 from fedtoken.rng import RngStream
 from fedtoken.scheduler import AGGREGATION_POLICIES, ceil_share, round_step, sample_cohort
 from oracles import oracle_run
@@ -83,10 +83,10 @@ def test_round_invariants_and_byte_identical_reruns(aggregation, loss, data):
             # misses at most eps of it; an untruncated one telescopes exactly
             assert abs(m.efficiency_residual) <= cfg.eps + 1e-9
         blocks.append(state.chain.head)
-        issued = state.budget.total_microtokens - state.budget.remaining
+        issued = cfg.total_microtokens - state.remaining
         assert sum(state.chain.balances().values()) == issued
         assert sum(tx.amount_microtokens for b in blocks for tx in b.transactions) == issued
-        if state.budget.exhausted:
+        if state.remaining == 0:
             break
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -103,6 +103,12 @@ def test_round_invariants_and_byte_identical_reruns(aggregation, loss, data):
 def oracle_configs(draw, aggregation, loss):
     n_clients = draw(st.integers(2, 5))
     m_fraction = draw(st.sampled_from([0.6, 1.0]))
+    rounds = draw(st.integers(1, 3))
+    # every [tokens] key: the widest total, a pool down to one microtoken and
+    # set-asides up to twice the round's pool, so that the pool clips them
+    total_tokens = draw(st.one_of(st.integers(1, 20), st.just(MAX_AMOUNT // 10**6)))
+    per_round = draw(st.none() | st.integers(1, total_tokens * 10**6))
+    pool = per_round or total_tokens * 10**6 // rounds
     return validate(ExperimentConfig(
         seed=draw(st.integers(0, 2**31)),
         aggregation=aggregation,
@@ -116,13 +122,18 @@ def oracle_configs(draw, aggregation, loss):
         n_clients=n_clients,
         m_fraction=m_fraction,
         quota=draw(st.integers(1, ceil_share(m_fraction, n_clients))),
-        rounds=draw(st.integers(1, 3)),
+        rounds=rounds,
         delta=draw(st.integers(1, 3)),
         eps=draw(st.sampled_from([0.0, 0.05])),
         weighting=draw(st.sampled_from(["mean", "sum"])),
         allocation=draw(st.sampled_from(["pf", "ep"])),
+        zeta=draw(st.sampled_from([0.1, 0.5, 0.7, 0.999999])),
+        participation_for_selected=draw(st.booleans()),
+        per_round_microtokens=per_round,
+        participation_base_microtokens=draw(st.none() | st.integers(0, 2 * pool)
+                                            | st.integers(pool // 2, 2 * pool)),
         poison_clients=tuple(sorted(draw(st.sets(st.integers(0, n_clients - 1), max_size=1)))),
-        total_tokens=draw(st.integers(1, 20)),
+        total_tokens=total_tokens,
     ))
 
 

@@ -1,10 +1,10 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedtoken.config import ExperimentConfig, validate
 from fedtoken.ledger import MAX_AMOUNT
 from fedtoken.scheduler import SelectionResult
-from fedtoken.tokenomics import (AllocationPolicy, Budget, _discounted, allocate_ep, allocate_pf,
-                                 participation_rewards, settle_round)
+from fedtoken.tokenomics import _discounted, allocate_ep, allocate_pf, settle_round
 
 from oracles import fraction_allocate_pf, fraction_discounted
 
@@ -17,9 +17,17 @@ WEIGHTS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308,
 POOLS = st.one_of(st.integers(0, 1000), st.integers(0, MAX_AMOUNT))
 
 
-def _policy(kind="pf", zeta=0.7, for_selected=False):
-    return AllocationPolicy(kind=kind, discount_zeta=zeta,
-                            participation_for_selected=for_selected)
+def _cfg(allocation="pf", for_selected=False, per_round=100 * M, p0=M, **tokens):
+    """A valid config with these ``[tokens]`` settings; 1000 tokens unless ``tokens`` says."""
+    return validate(ExperimentConfig(seed=0, allocation=allocation,
+                                     participation_for_selected=for_selected,
+                                     per_round_microtokens=per_round,
+                                     participation_base_microtokens=p0, **tokens))
+
+
+def _participation(sel, t, cfg=None):
+    cfg = cfg or _cfg()
+    return settle_round(cfg, cfg.total_microtokens, None, sel, t)[0].participation_awards
 
 
 def _selection(selected=(), rejected=(), flagged=()):
@@ -115,29 +123,29 @@ def test_ep_equals_pf_for_equal_contributions():
 
 def test_participation_discount_at_round_three():
     sel = _selection(selected=(0,), rejected=(1,))
-    awards = participation_rewards((0, 1), sel, 3, _policy(), M)
+    awards = _participation(sel, 3)
     assert awards[1] == 343000
     assert awards[0] == 0
 
 
 def test_participation_first_round_is_undiscounted():
     sel = _selection(selected=(0,), rejected=(1,))
-    awards = participation_rewards((0, 1), sel, 1, _policy(), M)
+    awards = _participation(sel, 1)
     assert awards[1] == M
 
 
 def test_flagged_clients_get_nothing():
     sel = _selection(selected=(0,), rejected=(1,), flagged=(2,))
     for t in (1, 2, 5):
-        awards = participation_rewards((0, 1, 2), sel, t, _policy(), M)
+        awards = _participation(sel, t)
         assert awards[2] == 0
 
 
 def test_selected_participation_is_a_policy_switch():
     sel = _selection(selected=(0,), rejected=(1,))
-    on = participation_rewards((0, 1), sel, 4, _policy(for_selected=True), M)
+    on = _participation(sel, 4, _cfg(for_selected=True))
     assert on[0] == M  # undiscounted for selected clients
-    off = participation_rewards((0, 1), sel, 4, _policy(for_selected=False), M)
+    off = _participation(sel, 4, _cfg(for_selected=False))
     assert off[0] == 0
 
 
@@ -145,50 +153,43 @@ def test_participation_decays_monotonically():
     sel = _selection(selected=(0,), rejected=(1,))
     previous = None
     for t in range(1, 12):
-        award = participation_rewards((0, 1), sel, t, _policy(), M)[1]
+        award = _participation(sel, t)[1]
         if previous is not None:
             assert award <= previous
         previous = award
 
 
 def test_settle_round_worked_example():
-    budget = Budget(total_microtokens=10**9, per_round_microtokens=100 * M,
-                    participation_base_microtokens=10 * M, remaining=10**9)
     sel = _selection(selected=(0, 1), rejected=(2, 3))
-    allocation, after = settle_round(budget, _policy(), {0: 3.0, 1: 1.0}, sel, 1)
+    allocation, after = settle_round(_cfg(p0=10 * M), 10**9, {0: 3.0, 1: 1.0}, sel, 1)
     assert sum(allocation.participation_awards.values()) == 20 * M
     assert allocation.contribution_awards == {0: 60 * M, 1: 20 * M}
     assert allocation.total_issued == 100 * M
-    assert after.remaining == 10**9 - 100 * M
+    assert after == 10**9 - 100 * M
 
 
 def test_settle_round_with_nothing_remaining():
-    budget = Budget(total_microtokens=100, per_round_microtokens=50,
-                    participation_base_microtokens=1, remaining=0)
-    allocation, after = settle_round(budget, _policy(), {0: 1.0},
+    allocation, after = settle_round(_cfg(per_round=50, p0=1), 0, {0: 1.0},
                                      _selection(selected=(0,)), 1)
     assert allocation.total_issued == 0
-    assert after.exhausted
+    assert after == 0
 
 
 def test_budget_exhausts_on_schedule():
     # 1000 tokens at 50 tokens per fully spent round runs dry at round 20
-    budget = Budget(total_microtokens=1000 * M, per_round_microtokens=50 * M,
-                    participation_base_microtokens=0, remaining=1000 * M)
-    policy = _policy(kind="ep")
+    cfg = _cfg(allocation="ep", per_round=50 * M, p0=0, total_tokens=1000)
+    remaining = cfg.total_microtokens
     sel = _selection(selected=(0, 1))
     t = 0
-    while not budget.exhausted:
+    while remaining != 0:
         t += 1
-        allocation, budget = settle_round(budget, policy, None, sel, t)
+        allocation, remaining = settle_round(cfg, remaining, None, sel, t)
         assert allocation.total_issued == 50 * M
     assert t == 20
 
 
 def test_equal_pay_policy_used_for_baseline_rounds():
-    budget = Budget(total_microtokens=10**9, per_round_microtokens=90,
-                    participation_base_microtokens=0, remaining=10**9)
-    allocation, _ = settle_round(budget, _policy(), None,
+    allocation, _ = settle_round(_cfg(per_round=90, p0=0), 10**9, None,
                                  _selection(selected=(0, 1, 2)), 1)
     assert allocation.contribution_awards == {0: 30, 1: 30, 2: 30}
 
@@ -200,21 +201,20 @@ def test_settlement_sequences_conserve_the_budget(seed):
     gen = np.random.Generator(np.random.PCG64(seed))
     total = int(gen.integers(1, 10**6))
     per_round = int(gen.integers(1, max(total // 2, 2)))
-    budget = Budget(total_microtokens=total, per_round_microtokens=per_round,
-                    participation_base_microtokens=int(gen.integers(0, per_round + 1)),
-                    remaining=total)
-    policy = _policy(kind="pf" if gen.random() < 0.5 else "ep")
-    issued = 0
+    # the config's 1-token total (10**6 microtokens) only bounds per_round
+    cfg = _cfg(allocation="pf" if gen.random() < 0.5 else "ep", per_round=per_round,
+               p0=int(gen.integers(0, per_round + 1)), total_tokens=1)
+    remaining, issued = total, 0
     for t in range(1, 15):
-        if budget.exhausted:
+        if remaining == 0:
             break
         ids = list(range(int(gen.integers(1, 6))))
         u = {i: float(gen.normal()) for i in ids}
         positive = [i for i in ids if u[i] > 0]
         sel = _selection(selected=positive[:2], rejected=positive[2:],
                          flagged=[i for i in ids if u[i] <= 0])
-        allocation, budget = settle_round(budget, policy, u, sel, t)
+        allocation, remaining = settle_round(cfg, remaining, u, sel, t)
         issued += allocation.total_issued
         assert allocation.total_issued <= per_round
-    assert issued == total - budget.remaining
-    assert budget.remaining >= 0
+    assert issued == total - remaining
+    assert remaining >= 0
